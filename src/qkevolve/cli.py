@@ -29,7 +29,7 @@ import numpy as np
 from . import baseline as baseline_mod
 from . import svm as svm_mod
 from .circuit import build_feature_map, complexity, diagram, evaluate_states
-from .evolve import EvalData, GaConfig, run as run_ga
+from .evolve import EvalData, GaConfig, model_inputs, run as run_ga
 from .genome import (
     EncodingMode,
     bits_to_line,
@@ -40,8 +40,6 @@ from .genome import (
 from .reduce import (
     FeatureMatrix,
     load_external_features,
-    pca_fit,
-    pca_transform,
     standardize_apply,
     standardize_fit,
     stratified_split,
@@ -371,15 +369,9 @@ def _threads_from_env() -> int:
     return threads
 
 
-def _effective_dim(config: RunConfig, prepared: PreparedData, components: int | None) -> int:
-    if config.mode != "pca":
-        return prepared.eval_data.x_train.shape[1]
-    return prepared.eval_data.pca_model(components).components.shape[0]
-
-
 def _individual_record(ind, config: RunConfig, prepared: PreparedData) -> dict:
     genome = decode_genome(ind.bits, config.qubits, config.layers, config.encoding_mode)
-    dim = _effective_dim(config, prepared, genome.pca_components)
+    dim = model_inputs(genome, prepared.eval_data)[0].shape[1]
     circ = build_feature_map(genome, dim)
     return {
         "bitstring": bits_to_line(ind.bits),
@@ -387,6 +379,7 @@ def _individual_record(ind, config: RunConfig, prepared: PreparedData) -> dict:
         "complexity": ind.fitness.complexity,
         "objective_balance": ind.fitness.objective_balance,
         "pca_components": genome.pca_components,
+        "pca_components_effective": None if genome.pca_components is None else dim,
         "circuit": diagram(circ),
     }
 
@@ -396,11 +389,7 @@ def _refit_best_qsvm(best, config: RunConfig, prepared: PreparedData) -> dict:
     lands in the report."""
     data = prepared.eval_data
     genome = decode_genome(best.bits, config.qubits, config.layers, config.encoding_mode)
-    if config.mode == "pca":
-        model = data.pca_model(genome.pca_components)
-        x_train = pca_transform(model, data.x_train)
-    else:
-        x_train = data.x_train
+    x_train, _ = model_inputs(genome, data)
     circ = build_feature_map(genome, x_train.shape[1])
     states = evaluate_states(circ, x_train)
     k_train = (states.conj() @ states.T).real
@@ -408,12 +397,11 @@ def _refit_best_qsvm(best, config: RunConfig, prepared: PreparedData) -> dict:
 
 
 def run_baseline(config: RunConfig, prepared: PreparedData) -> dict:
-    """PCA(64) + MLP comparison on the same split and standardization; the
-    component count is clamped when the training set is too small for 64."""
+    """PCA(64) + MLP comparison on the same split, standardization and PCA
+    scores as the run; the component count is clamped when the training set
+    is too small for 64."""
     data = prepared.eval_data
-    pca = pca_fit(data.x_train, EXTERNAL_FEATURE_DIM)
-    x_train = pca_transform(pca, data.x_train)
-    x_test = pca_transform(pca, data.x_test)
+    x_train, x_test = data.pca_inputs(EXTERNAL_FEATURE_DIM)
     model = baseline_mod.train(
         x_train,
         prepared.labels01_train,
@@ -424,7 +412,7 @@ def run_baseline(config: RunConfig, prepared: PreparedData) -> dict:
     return {
         "accuracy": baseline_mod.evaluate(model, x_test, prepared.labels01_test),
         "train_accuracy": baseline_mod.evaluate(model, x_train, prepared.labels01_train),
-        "pca_components": int(pca.components.shape[0]),
+        "pca_components": int(x_train.shape[1]),
         "hidden_dim": model.hidden_dim,
         "learning_rate": config.baseline_lr,
         "epochs": config.baseline_epochs,

@@ -16,6 +16,7 @@ variation randomness is drawn from per-generation streams derived from
 from __future__ import annotations
 
 import logging
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,8 +25,15 @@ import numpy as np
 
 from . import svm
 from .circuit import build_feature_map, complexity, evaluate_states
-from .genome import EncodingMode, decode_genome, genome_length, random_bits
-from .reduce import PcaModel, pca_fit, pca_slice, pca_transform
+from .genome import (
+    MAX_PCA_COMPONENTS,
+    CircuitGenome,
+    EncodingMode,
+    decode_genome,
+    genome_length,
+    random_bits,
+)
+from .reduce import pca_fit, pca_slice, pca_transform  # noqa: F401 (pca_slice: public re-export)
 from .svm import SvmConfig
 
 log = logging.getLogger(__name__)
@@ -78,22 +86,37 @@ class GaConfig:
 @dataclass
 class EvalData:
     """Prepared dataset shared by every fitness evaluation: already split,
-    standardized, with labels in {-1, +1}. In PCA mode the full-rank PCA is
-    fitted lazily once on the training rows and sliced per requested count,
-    which is exactly equivalent to refitting at that count."""
+    standardized, with labels in {-1, +1}. In PCA mode, train and test are
+    projected once onto the most components a header can request (at most
+    n_train - 1); each count then slices leading columns, which matches a
+    refit at that count up to rounding in the projection sums."""
 
     x_train: np.ndarray
     y_train: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
     svm_config: SvmConfig = field(default_factory=SvmConfig)
-    _full_pca: PcaModel | None = field(default=None, repr=False)
+    _pca_scores: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _pca_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
-    def pca_model(self, r: int) -> PcaModel:
-        if self._full_pca is None:
-            n, d = self.x_train.shape
-            self._full_pca = pca_fit(self.x_train, min(n - 1, d))
-        return pca_slice(self._full_pca, r)
+    def pca_inputs(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the train and test scores on the leading min(r, r_max)
+        components, for r >= 1. Thread-safe."""
+        with self._pca_lock:
+            if self._pca_scores is None:
+                n, d = self.x_train.shape
+                model = pca_fit(self.x_train, min(n - 1, d, MAX_PCA_COMPONENTS))
+                self._pca_scores = (pca_transform(model, self.x_train), pca_transform(model, self.x_test))
+        train, test = self._pca_scores
+        return train[:, :r], test[:, :r]
+
+
+def model_inputs(genome: CircuitGenome, data: EvalData) -> tuple[np.ndarray, np.ndarray]:
+    """The train and test inputs a genome is scored on: the leading principal
+    components its header asks for, or the fixed features without a header."""
+    if genome.pca_components is None:
+        return data.x_train, data.x_test
+    return data.pca_inputs(genome.pca_components)
 
 
 def worst_case_complexity(config: GaConfig) -> float:
@@ -117,12 +140,7 @@ def evaluate_fitness(ind: Individual, data: EvalData, config: GaConfig) -> Fitne
     """
     try:
         genome = decode_genome(ind.bits, config.m_qubits, config.n_layers, config.mode)
-        if config.mode is EncodingMode.PCA_HEADER:
-            model = data.pca_model(genome.pca_components)
-            x_train = pca_transform(model, data.x_train)
-            x_test = pca_transform(model, data.x_test)
-        else:
-            x_train, x_test = data.x_train, data.x_test
+        x_train, x_test = model_inputs(genome, data)
         circ = build_feature_map(genome, x_train.shape[1])
         s_train = evaluate_states(circ, x_train)
         s_test = evaluate_states(circ, x_test)
@@ -313,7 +331,6 @@ def run(
     data: EvalData,
     threads: int = 1,
     on_generation=None,
-    use_cache: bool = True,
 ) -> RunResult:
     """Full (mu + lambda) evolution.
 
@@ -326,21 +343,17 @@ def run(
     then by eval_id.
     """
     length = genome_length(config.m_qubits, config.n_layers, config.mode)
-    cache: dict[bytes, FitnessPair] | None = {} if use_cache else None
+    cache: dict[bytes, FitnessPair] = {}
     evaluations = 0
 
     def resolve(pending: list[Individual]):
         nonlocal evaluations
-        todo = [ind for ind in pending if ind.fitness is None]
-        if cache is not None:
-            still = []
-            for ind in todo:
-                hit = cache.get(ind.bits.tobytes())
-                if hit is not None:
-                    ind.fitness = hit
-                else:
-                    still.append(ind)
-            todo = still
+        todo = []
+        for ind in pending:
+            if ind.fitness is None:
+                ind.fitness = cache.get(ind.bits.tobytes())
+                if ind.fitness is None:
+                    todo.append(ind)
         if todo:
             if threads > 1:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -349,8 +362,7 @@ def run(
                 results = [evaluate_fitness(ind, data, config) for ind in todo]
             for ind, fit_pair in zip(todo, results):
                 ind.fitness = fit_pair
-                if cache is not None:
-                    cache[ind.bits.tobytes()] = fit_pair
+                cache[ind.bits.tobytes()] = fit_pair
         evaluations += len(pending)
 
     init_rng = _stream(config.seed, 0)

@@ -55,7 +55,6 @@ KIND_BY_CODE = (
 CODE_BY_KIND = {kind: code for code, kind in enumerate(KIND_BY_CODE)}
 
 PARAM_KINDS = frozenset({GateKind.RX_PARAM, GateKind.RY_PARAM, GateKind.RZ_PARAM})
-FIXED_ROTATION_KINDS = frozenset({GateKind.RX_FIXED, GateKind.RY_FIXED, GateKind.RZ_FIXED})
 ROTATION_AXIS = {
     GateKind.RX_PARAM: "x",
     GateKind.RY_PARAM: "y",

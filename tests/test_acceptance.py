@@ -307,6 +307,7 @@ def exhaustive_front_runs(tiny_sep_dataset):
     }
 
 
+@pytest.mark.slow
 def test_criterion_7_exhaustive_front_recovery(exhaustive_front_runs):
     true_front = exhaustive_front_runs["true_front"]
     best_acc = max(p[0] for p in true_front)
@@ -368,6 +369,7 @@ def end_to_end_run(two_gauss_dataset, tmp_path_factory):
     return {"report": pipeline_report, "elapsed": elapsed, "out": base / "out"}
 
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end_sanity(end_to_end_run):
     rep = end_to_end_run["report"]
     elapsed = end_to_end_run["elapsed"]
@@ -384,6 +386,7 @@ def test_criterion_8_end_to_end_sanity(end_to_end_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_dynamic_fitness_arithmetic(exhaustive_front_runs, end_to_end_run):
     checked = 0
     ok = True

@@ -5,6 +5,7 @@ import pytest
 
 from qkevolve.cli import (
     ConfigError,
+    _individual_record,
     bilinear_resize,
     load_image_dataset,
     main,
@@ -12,6 +13,8 @@ from qkevolve.cli import (
     prepare_data,
     run_pipeline,
 )
+from qkevolve.evolve import FitnessPair, Individual
+from qkevolve.genome import genome_length
 from qkevolve.reduce import stratified_split
 
 from oracles import bilinear_reference
@@ -259,6 +262,20 @@ class TestPipeline:
         a2 = (tmp_path / "second" / "archive.json").read_bytes()
         assert a1 == a2
 
+    def test_report_gives_effective_pca_count(self, tmp_path):
+        dataset = make_image_tree(tmp_path / "data")  # 12 training rows: at most 11 components
+        config = parse_config_file(small_run_config(tmp_path, dataset))
+        report = run_pipeline(config)
+        for record in report.archive:
+            assert record["pca_components_effective"] == min(record["pca_components"], 11)
+
+        prepared = prepare_data(config)
+        length = genome_length(config.qubits, config.layers, config.encoding_mode)
+        all_ones = Individual(bits=np.ones(length, dtype=np.uint8), fitness=FitnessPair(0.5, 1.0, 1.0))
+        record = _individual_record(all_ones, config, prepared)
+        assert record["pca_components"] == 64
+        assert record["pca_components_effective"] == prepared.eval_data.x_train.shape[0] - 1 == 11
+
     def test_external_mode_end_to_end(self, tmp_path, two_gauss_dataset):
         x, y01 = two_gauss_dataset
         csv_path = tmp_path / "features.csv"
@@ -268,6 +285,7 @@ class TestPipeline:
         cfg = small_run_config(tmp_path, csv_path, "ext", mode="external", qubits=2, layers=3)
         report = run_pipeline(parse_config_file(cfg))
         assert report.best["pca_components"] is None
+        assert report.best["pca_components_effective"] is None
         assert 0.0 <= report.best["accuracy"] <= 1.0
 
     def test_external_mode_wrong_width_is_reported(self, tmp_path, capsys):

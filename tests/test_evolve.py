@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkevolve import evolve
 from qkevolve.evolve import (
     EvalData,
     FitnessPair,
@@ -20,6 +23,7 @@ from qkevolve.evolve import (
     worst_case_complexity,
 )
 from qkevolve.genome import EncodingMode, genome_length
+from qkevolve.reduce import pca_fit, pca_transform
 
 from conftest import make_eval_data
 from oracles import peel_fronts
@@ -125,6 +129,45 @@ class TestEvaluateFitness:
         assert fitness.complexity == worst_case_complexity(TINY_CONFIG) == 4.0
         assert fitness.objective_balance == fitness.complexity
         assert any("worst-case" in r.message for r in caplog.records)
+
+
+class TestPcaInputs:
+    @pytest.mark.parametrize("n_samples", [200, 40])
+    def test_slices_match_refit_at_each_count(self, two_gauss_dataset, n_samples):
+        x, y01 = two_gauss_dataset
+        data = make_eval_data(x[:n_samples], y01[:n_samples])
+        r_max = min(data.x_train.shape[0] - 1, data.x_train.shape[1], 64)
+        counts = {1, r_max // 2, r_max} | ({64} if r_max < 64 else set())
+        for r in sorted(counts):
+            x_train_r, x_test_r = data.pca_inputs(r)
+            model = pca_fit(data.x_train, r)
+            assert x_train_r.shape == (data.x_train.shape[0], min(r, r_max))
+            for got, x_full in ((x_train_r, data.x_train), (x_test_r, data.x_test)):
+                np.testing.assert_allclose(got, pca_transform(model, x_full), rtol=0, atol=1e-10)
+
+    # 60 samples leave 45 training rows, so the one fit asks for 44 components.
+    @pytest.mark.parametrize(
+        "mode, expected_fits", [(EncodingMode.PCA_HEADER, [44]), (EncodingMode.FIXED_FEATURES, [])]
+    )
+    def test_threaded_run_fits_pca_at_most_once(
+        self, two_gauss_dataset, monkeypatch, mode, expected_fits
+    ):
+        x, y01 = two_gauss_dataset
+        data = make_eval_data(x[:60], y01[:60])
+        calls = []
+        real_fit = evolve.pca_fit
+
+        def slow_counting_fit(*args, **kwargs):
+            calls.append(args[1])
+            time.sleep(0.05)  # widen the window in which a second thread could also fit
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(evolve, "pca_fit", slow_counting_fit)
+        config = GaConfig(
+            m_qubits=1, n_layers=2, mode=mode, mu=6, lambda_=4, max_generations=2, patience=0
+        )
+        run(config, data, threads=2)
+        assert calls == expected_fits
 
 
 class TestFlipbitMutation:
