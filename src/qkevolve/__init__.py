@@ -10,16 +10,7 @@ from .genome import (
     encode_genome,
     genome_length,
 )
-from .circuit import (
-    FeatureMapCircuit,
-    KernelMatrix,
-    build_feature_map,
-    complexity,
-    evaluate_state,
-    kernel,
-    kernel_matrix,
-    product_kernel,
-)
+from .circuit import FeatureMapCircuit, build_feature_map, complexity, evaluate_states
 from .svm import SvmConfig, TrainedQSVM, accuracy, decision, fit, predict
 from .reduce import (
     FeatureMatrix,

@@ -5,14 +5,19 @@ Conventions fixed here and relied on everywhere else:
 - Basis ordering: qubit 0 is the most significant bit of the state index, so
   |q0 q1 .. q_{M-1}> lives at index sum_i q_i * 2^(M-1-i).
 - Grid rotations apply exp(-i*a*sigma_axis) with a = theta * x_k for
-  input-parameterized gates and a = theta for fixed ones. The textbook
-  half-angle primitives rx/ry/rz (= exp(-i*theta*sigma/2)) are exposed as
-  constants-of-reference only; evolved circuits never use them directly.
+  input-parameterized gates and a = theta for fixed ones.
 - A CNOT gene in row i controls on qubit i and targets qubit (i+1) mod M.
   On a single-qubit grid a CNOT gene degenerates to an identity.
-- Kernel values are Re<Phi(x)|Phi(x')>, the real part taken after the full
-  complex inner product (and, for the per-qubit factorized form, after the
-  complex product across qubits).
+- Kernel values are Re<Phi(x)|Phi(x')>, the real part of the full complex
+  inner product; callers form the Gram as (S.conj() @ S'.T).real.
+
+`evaluate_states` is the one simulation path, and it never applies a gate to
+the full 2^M state. The CNOTs join qubits into clusters (union-find over their
+control/target pairs); each cluster evolves on its own 2^k amplitudes, runs of
+rotations on one qubit are fused into one per-sample 2x2 block before they
+touch a cluster, and the full state is the outer product of the cluster
+states. A CNOT-free circuit, the kind the fitness pressure favours, is thus M
+independent one-qubit states; a fully entangled one is a single cluster.
 """
 
 from __future__ import annotations
@@ -29,11 +34,6 @@ from .genome import (
     GateKind,
     angle_text,
 )
-
-CNOT_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-
 
 class Census(NamedTuple):
     """Per-kind gate counts; one count per grid cell, so they sum to M*N."""
@@ -63,54 +63,25 @@ class FeatureMapCircuit:
     census: Census
 
 
-@dataclass(eq=False)
-class KernelMatrix:
-    """Gram block of Re<Phi(row_i)|Phi(col_j)> values."""
-
-    values: np.ndarray
-    row_points: np.ndarray
-    col_points: np.ndarray
-
-
-def _rotation_block(axis: str, angles: np.ndarray) -> np.ndarray:
-    """exp(-i*a*sigma_axis) for a batch of angles; output shape angles.shape + (2, 2)."""
+def axis_rotation(axis: str, angles) -> np.ndarray:
+    """exp(-i*a*sigma_axis) for an angle or an array of angles. The matrix
+    axes come first: the output shape is (2, 2) + angles.shape."""
     angles = np.asarray(angles, dtype=float)
     c, s = np.cos(angles), np.sin(angles)
-    u = np.zeros(angles.shape + (2, 2), dtype=complex)
+    u = np.zeros((2, 2) + angles.shape, dtype=complex)
     if axis == "x":
-        u[..., 0, 0] = c
-        u[..., 1, 1] = c
-        u[..., 0, 1] = -1j * s
-        u[..., 1, 0] = -1j * s
+        u[0, 0] = u[1, 1] = c
+        u[0, 1] = u[1, 0] = -1j * s
     elif axis == "y":
-        u[..., 0, 0] = c
-        u[..., 1, 1] = c
-        u[..., 0, 1] = -s
-        u[..., 1, 0] = s
+        u[0, 0] = u[1, 1] = c
+        u[0, 1] = -s
+        u[1, 0] = s
     elif axis == "z":
-        u[..., 0, 0] = np.exp(-1j * angles)
-        u[..., 1, 1] = np.exp(1j * angles)
+        u[0, 0] = c - 1j * s
+        u[1, 1] = c + 1j * s
     else:
         raise ValueError(f"unknown rotation axis {axis!r}")
     return u
-
-
-def axis_rotation(axis: str, angle: float) -> np.ndarray:
-    """The 2x2 unitary exp(-i*angle*sigma_axis)."""
-    return _rotation_block(axis, np.float64(angle))
-
-
-def rx(theta: float) -> np.ndarray:
-    """Half-angle primitive exp(-i*theta*sigma_x/2)."""
-    return axis_rotation("x", theta / 2.0)
-
-
-def ry(theta: float) -> np.ndarray:
-    return axis_rotation("y", theta / 2.0)
-
-
-def rz(theta: float) -> np.ndarray:
-    return axis_rotation("z", theta / 2.0)
 
 
 def build_feature_map(genome: CircuitGenome, input_dim: int) -> FeatureMapCircuit:
@@ -163,134 +134,98 @@ def build_feature_map(genome: CircuitGenome, input_dim: int) -> FeatureMapCircui
     )
 
 
-def zero_state(n_qubits: int) -> np.ndarray:
-    state = np.zeros(1 << n_qubits, dtype=complex)
-    state[0] = 1.0
-    return state
+def _apply_2x2(u: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Per-sample 2x2 blocks u (2, 2, n) acting on axis 1 of states (a, 2, b, n),
+    written out elementwise; the sample axis is last so every product runs
+    over contiguous samples."""
+    return u[:, 0, None] * states[:, :1] + u[:, 1, None] * states[:, 1:]
 
 
-def _apply_single_batch(states: np.ndarray, u: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    batch = states.shape[0]
-    shaped = states.reshape(batch, 1 << qubit, 2, -1)
-    if u.ndim == 2:
-        out = np.einsum("ab,xibj->xiaj", u, shaped)
-    else:
-        out = np.einsum("xab,xibj->xiaj", u, shaped)
-    return out.reshape(batch, 1 << n_qubits)
-
-
-def _apply_cnot_batch(states: np.ndarray, control: int, target: int, n_qubits: int) -> np.ndarray:
-    idx = np.arange(1 << n_qubits)
-    on = ((idx >> (n_qubits - 1 - control)) & 1) == 1
-    src = idx ^ (1 << (n_qubits - 1 - target))
-    out = states.copy()
-    out[:, on] = states[:, src[on]]
-    return out
-
-
-def _apply_op_batch(
-    states: np.ndarray, op: CircuitOp, xs: np.ndarray | None, n_qubits: int
-) -> np.ndarray:
-    if op.kind is GateKind.IDENTITY:
-        return states
-    if op.kind is GateKind.CNOT:
-        return _apply_cnot_batch(states, op.qubit, op.target, n_qubits)
-    axis = ROTATION_AXIS[op.kind]
-    if op.feature_index is None:
-        u = axis_rotation(axis, op.theta)
-    else:
-        if xs is None:
-            raise ValueError("parameterized gate needs an input feature value")
-        u = _rotation_block(axis, op.theta * xs[:, op.feature_index])
-    return _apply_single_batch(states, u, op.qubit, n_qubits)
-
-
-def apply_gate(state: np.ndarray, op: CircuitOp, feature: float | None = None) -> np.ndarray:
-    """Apply one gate to a single statevector; `feature` is the x_k value for
-    parameterized rotations and ignored otherwise."""
-    state = np.asarray(state, dtype=complex)
-    n_qubits = int(state.size).bit_length() - 1
-    if 1 << n_qubits != state.size:
-        raise ValueError("statevector length must be a power of two")
-    xs = None
-    if op.feature_index is not None:
-        if feature is None:
-            raise ValueError("parameterized gate needs an input feature value")
-        xs = np.zeros((1, op.feature_index + 1))
-        xs[0, op.feature_index] = feature
-    return _apply_op_batch(state[None, :], op, xs, n_qubits)[0]
+def _cnot_permutation(k: int, control: int, target: int) -> np.ndarray:
+    """Index map of a CNOT on a k-qubit register whose position 0 is the most
+    significant bit: new_state = state[perm]."""
+    idx = np.arange(1 << k)
+    return idx ^ (((idx >> (k - 1 - control)) & 1) << (k - 1 - target))
 
 
 def evaluate_states(circuit: FeatureMapCircuit, xs: np.ndarray) -> np.ndarray:
-    """Feature-map states for a batch of inputs; returns (n, 2^M) amplitudes."""
+    """Feature-map states for a batch of inputs; returns (n, 2^M) amplitudes.
+
+    The gates run in scan order. Each qubit keeps a pending per-sample 2x2
+    product of its rotations since its last CNOT; the product is applied to
+    the qubit's cluster state only when a CNOT touches the qubit, or at the
+    end. A CNOT is an index permutation of its cluster's amplitudes. Cluster
+    states are stored as (2^k, n), samples last.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[1] != circuit.input_dim:
         raise ValueError(
             f"input dimension mismatch: circuit expects {circuit.input_dim}, got {xs.shape[1]}"
         )
-    states = np.zeros((xs.shape[0], 1 << circuit.n_qubits), dtype=complex)
-    states[:, 0] = 1.0
+    n, m = xs.shape[0], circuit.n_qubits
+
+    # Every rotation's per-sample block, from one gather; a fixed rotation
+    # reads an appended column of ones. Layout (2, 2, gate, sample).
+    rotations = [op for op in circuit.ops if op.kind in ROTATION_AXIS]
+    columns = [circuit.input_dim if op.feature_index is None else op.feature_index for op in rotations]
+    features = np.concatenate([xs, np.ones((n, 1))], axis=1).T
+    angles = np.array([op.theta for op in rotations])[:, None] * features[columns]
+    blocks = np.empty((2, 2, len(rotations), n), dtype=complex)
+    for axis in "xyz":
+        sel = [g for g, op in enumerate(rotations) if ROTATION_AXIS[op.kind] == axis]
+        if sel:
+            blocks[:, :, sel] = axis_rotation(axis, angles[sel])
+
+    parent = list(range(m))
+
+    def find(q: int) -> int:
+        while parent[q] != q:
+            q = parent[q]
+        return q
+
     for op in circuit.ops:
-        states = _apply_op_batch(states, op, xs, circuit.n_qubits)
-    return states
+        if op.kind is GateKind.CNOT:
+            parent[find(op.qubit)] = find(op.target)
+    clusters: dict[int, list[int]] = {}
+    for q in range(m):
+        clusters.setdefault(find(q), []).append(q)
+    members = list(clusters.values())
+    home = {q: (c, pos) for c, qubits in enumerate(members) for pos, q in enumerate(qubits)}
+    states = []
+    for qubits in members:
+        state = np.zeros((1 << len(qubits), n), dtype=complex)
+        state[0] = 1.0
+        states.append(state)
+    pending: list[np.ndarray | None] = [None] * m
 
+    def flush(q: int) -> None:
+        if pending[q] is not None:
+            c, pos = home[q]
+            shaped = states[c].reshape(1 << pos, 2, -1, n)
+            states[c] = _apply_2x2(pending[q], shaped).reshape(-1, n)
+            pending[q] = None
 
-def evaluate_state(circuit: FeatureMapCircuit, x: np.ndarray) -> np.ndarray:
-    """State U(x)|0..0> for a single input vector."""
-    return evaluate_states(circuit, np.asarray(x, dtype=float)[None, :])[0]
+    g = 0
+    for op in circuit.ops:
+        if op.kind is GateKind.CNOT:
+            flush(op.qubit)
+            flush(op.target)
+            c, control = home[op.qubit]
+            target = home[op.target][1]
+            states[c] = states[c][_cnot_permutation(len(members[c]), control, target)]
+        elif op.kind is not GateKind.IDENTITY:
+            u, q = blocks[:, :, g], op.qubit
+            pending[q] = u if pending[q] is None else _apply_2x2(u, pending[q][None])[0]
+            g += 1
+    for q in range(m):
+        flush(q)
 
-
-def kernel(circuit: FeatureMapCircuit, x: np.ndarray, x_other: np.ndarray) -> float:
-    """Re<Phi(x)|Phi(x')>."""
-    sx = evaluate_state(circuit, x)
-    sy = evaluate_state(circuit, x_other)
-    return float(np.vdot(sx, sy).real)
-
-
-def kernel_matrix(
-    circuit: FeatureMapCircuit, x_rows: np.ndarray, x_cols: np.ndarray | None = None
-) -> KernelMatrix:
-    """Gram block between two point sets; when the sets are the same object
-    the statevectors are computed once and reused."""
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-    s_rows = evaluate_states(circuit, x_rows)
-    if x_cols is None or x_cols is x_rows:
-        x_cols = x_rows
-        s_cols = s_rows
-    else:
-        x_cols = np.atleast_2d(np.asarray(x_cols, dtype=float))
-        s_cols = evaluate_states(circuit, x_cols)
-    values = (s_rows.conj() @ s_cols.T).real
-    return KernelMatrix(values=values, row_points=x_rows, col_points=x_cols)
-
-
-def product_kernel(circuit: FeatureMapCircuit, x: np.ndarray, x_other: np.ndarray) -> float:
-    """Kernel of an entanglement-free circuit as a product of per-qubit
-    2-dimensional kernels, Re taken after the complex product. This is the
-    quantum-inspired evaluation path: no 2^M state is ever formed."""
-    if circuit.census.n_cnot:
-        raise ValueError("product_kernel requires a CNOT-free circuit")
-    x = np.asarray(x, dtype=float)
-    x_other = np.asarray(x_other, dtype=float)
-    if x.shape != (circuit.input_dim,) or x_other.shape != (circuit.input_dim,):
-        raise ValueError("input dimension mismatch")
-    total = 1.0 + 0.0j
-    for q in range(circuit.n_qubits):
-        sx = np.array([1.0, 0.0], dtype=complex)
-        sy = np.array([1.0, 0.0], dtype=complex)
-        for op in circuit.ops:
-            if op.qubit != q or op.kind is GateKind.IDENTITY:
-                continue
-            axis = ROTATION_AXIS[op.kind]
-            if op.feature_index is None:
-                u = axis_rotation(axis, op.theta)
-                sx = u @ sx
-                sy = u @ sy
-            else:
-                sx = axis_rotation(axis, op.theta * x[op.feature_index]) @ sx
-                sy = axis_rotation(axis, op.theta * x_other[op.feature_index]) @ sy
-        total *= np.vdot(sx, sy)
-    return float(total.real)
+    full = states[0]
+    for state in states[1:]:
+        full = (full[:, None] * state[None]).reshape(-1, n)
+    order = [q for qubits in members for q in qubits]
+    axes = [m, *np.argsort(order)]
+    return full.reshape((2,) * m + (n,)).transpose(axes).reshape(n, 1 << m)
 
 
 def complexity(circuit: FeatureMapCircuit) -> float:

@@ -135,8 +135,11 @@ def evaluate_fitness(ind: Individual, data: EvalData, config: GaConfig) -> Fitne
     """Decode, (optionally) project through PCA, simulate kernels, train the
     QSVM and score it on the held-out rows.
 
-    Any failure is absorbed into a worst-case fitness (accuracy 0, complexity
-    of a full grid) so a long evolution never halts on one bad individual.
+    The expected failures are absorbed into a worst-case fitness (accuracy 0,
+    complexity of a full grid) so a long evolution never halts on one bad
+    individual: ValueError (numpy's LinAlgError among them) from the SVM and
+    PCA guards, and RuntimeError from the SVM's PSD abort. Any other exception
+    is a programming error and propagates.
     """
     try:
         genome = decode_genome(ind.bits, config.m_qubits, config.n_layers, config.mode)
@@ -150,7 +153,7 @@ def evaluate_fitness(ind: Individual, data: EvalData, config: GaConfig) -> Fitne
         acc = svm.accuracy(svm.predict(classifier, k_test), data.y_test)
         c = complexity(circ)
         return FitnessPair(accuracy=acc, objective_balance=objective_balance(c, acc), complexity=c)
-    except Exception:
+    except (ValueError, RuntimeError):
         log.warning("fitness evaluation failed; assigning worst-case fitness", exc_info=True)
         c = worst_case_complexity(config)
         return FitnessPair(accuracy=0.0, objective_balance=objective_balance(c, 0.0), complexity=c)

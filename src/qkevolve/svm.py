@@ -63,10 +63,6 @@ class TrainedQSVM:
         }
 
 
-def _kernel_values(k_train) -> np.ndarray:
-    return np.asarray(getattr(k_train, "values", k_train), dtype=float)
-
-
 def _psd_clamp(k: np.ndarray) -> np.ndarray:
     eig_min = float(np.linalg.eigvalsh(k)[0])
     if eig_min < -PSD_ABORT_TOL:
@@ -81,10 +77,10 @@ def _psd_clamp(k: np.ndarray) -> np.ndarray:
 
 
 def fit(k_train, y, config: SvmConfig | None = None) -> TrainedQSVM:
-    """Train on an n x n kernel (KernelMatrix or plain array) and labels in
-    {-1, +1}. Raises ValueError on single-class labels or non-finite kernels."""
+    """Train on an n x n kernel matrix and labels in {-1, +1}. Raises
+    ValueError on single-class labels or non-finite kernels."""
     config = config or SvmConfig()
-    k = _kernel_values(k_train)
+    k = np.asarray(k_train, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n = y.size
     if k.shape != (n, n):
@@ -171,7 +167,7 @@ def decision(model: TrainedQSVM, k_row: np.ndarray) -> float:
 def predict(model: TrainedQSVM, k_test) -> np.ndarray:
     """Signs of the decision values for a q x n_train kernel block; ties at
     exactly zero go to +1."""
-    k = np.atleast_2d(_kernel_values(k_test))
+    k = np.atleast_2d(np.asarray(k_test, dtype=float))
     if k.shape[1] != model.dual_coefs.size:
         raise ValueError("kernel block width does not match the training set")
     scores = k @ (model.dual_coefs * model.labels) + model.bias

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qkevolve.circuit import evaluate_states
 from qkevolve.evolve import EvalData
 from qkevolve.genome import EncodingMode, decode_genome, genome_length, random_bits
 from qkevolve.reduce import standardize_apply, standardize_fit, stratified_split
@@ -18,6 +19,13 @@ def make_eval_data(x, y01, seed=0, test_fraction=0.25, svm_config=None):
         y_test=y01[test_idx] * 2 - 1,
         **kwargs,
     )
+
+
+def gram(circ, rows, cols=None):
+    """Re<Phi(row_i)|Phi(col_j)>, formed as the evaluation path forms it."""
+    s_rows = evaluate_states(circ, rows)
+    s_cols = s_rows if cols is None else evaluate_states(circ, cols)
+    return (s_rows.conj() @ s_cols.T).real
 
 
 def random_genome(rng, m, n, mode=EncodingMode.FIXED_FEATURES):

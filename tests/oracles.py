@@ -2,8 +2,10 @@
 
 Each oracle is deliberately built from a different principle than the code it
 checks: matrix exponentials via eigendecomposition instead of closed forms,
-the SVM dual via exhaustive active-set enumeration instead of pairwise
-updates, domination fronts via repeated peeling, gradients via central
+circuits one gate at a time as dense 2^M x 2^M matrices on the full state
+instead of fused blocks on qubit clusters, kernels of CNOT-free circuits as
+products of per-qubit inner products, the SVM dual via exhaustive active-set
+enumeration instead of pairwise updates, domination fronts via repeated peeling, gradients via central
 differences, and bilinear resampling via a scalar loop.
 """
 
@@ -12,6 +14,12 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from qkevolve.genome import ROTATION_AXIS, GateKind
+
+CNOT_MATRIX = np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+)
 
 _SIGMA = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -24,6 +32,64 @@ def expm_rotation(axis: str, angle: float) -> np.ndarray:
     """exp(-i*angle*sigma_axis) through the eigendecomposition of sigma."""
     vals, vecs = np.linalg.eigh(_SIGMA[axis])
     return (vecs * np.exp(-1j * angle * vals)) @ vecs.conj().T
+
+
+def _op_unitary(op, x) -> np.ndarray:
+    """The 2x2 unitary of one rotation op at input x."""
+    angle = op.theta if op.feature_index is None else op.theta * x[op.feature_index]
+    return expm_rotation(ROTATION_AXIS[op.kind], angle)
+
+
+def gate_matrix(op, n_qubits: int, x=None) -> np.ndarray:
+    """Dense 2^M x 2^M matrix of one circuit op (qubit 0 is the most
+    significant bit); x supplies the feature of a parameterized rotation."""
+    dim = 1 << n_qubits
+    if op.kind is GateKind.IDENTITY:
+        return np.eye(dim, dtype=complex)
+    if op.kind is GateKind.CNOT:
+        out = np.zeros((dim, dim), dtype=complex)
+        for col in range(dim):
+            bits = [(col >> (n_qubits - 1 - q)) & 1 for q in range(n_qubits)]
+            bits[op.target] ^= bits[op.qubit]
+            out[int("".join(map(str, bits)), 2), col] = 1.0
+        return out
+    if op.feature_index is not None and x is None:
+        raise ValueError("parameterized gate needs an input feature value")
+    left = np.eye(1 << op.qubit)
+    right = np.eye(1 << (n_qubits - 1 - op.qubit))
+    return np.kron(np.kron(left, _op_unitary(op, x)), right)
+
+
+def reference_states(circuit, xs) -> np.ndarray:
+    """U(x)|0..0> for each row x, applying every op's dense matrix in scan
+    order; matrices that do not depend on x are built once."""
+    m = circuit.n_qubits
+    fixed = {i: gate_matrix(op, m) for i, op in enumerate(circuit.ops) if op.feature_index is None}
+    out = []
+    for x in np.atleast_2d(xs):
+        state = np.zeros(1 << m, dtype=complex)
+        state[0] = 1.0
+        for i, op in enumerate(circuit.ops):
+            state = (fixed[i] if i in fixed else gate_matrix(op, m, x)) @ state
+        out.append(state)
+    return np.array(out)
+
+
+def product_kernel(circuit, x, x_other) -> float:
+    """Kernel of a CNOT-free circuit as the product of per-qubit 2-dimensional
+    inner products, Re taken after the complex product; no 2^M state is formed."""
+    if circuit.census.n_cnot:
+        raise ValueError("product_kernel requires a CNOT-free circuit")
+    total = 1.0 + 0.0j
+    for q in range(circuit.n_qubits):
+        sx = np.array([1.0, 0.0], dtype=complex)
+        sy = np.array([1.0, 0.0], dtype=complex)
+        for op in circuit.ops:
+            if op.qubit == q and op.kind is not GateKind.IDENTITY:
+                sx = _op_unitary(op, x) @ sx
+                sy = _op_unitary(op, x_other) @ sy
+        total *= np.vdot(sx, sy)
+    return float(total.real)
 
 
 def dual_objective(alpha: np.ndarray, k: np.ndarray, y: np.ndarray) -> float:

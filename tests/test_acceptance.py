@@ -11,15 +11,7 @@ import pytest
 
 from qkevolve import svm
 from qkevolve.baseline import evaluate as mlp_evaluate, init_model, loss_and_grads, train as mlp_train
-from qkevolve.circuit import (
-    CNOT_MATRIX,
-    apply_gate,
-    build_feature_map,
-    evaluate_states,
-    kernel,
-    kernel_matrix,
-    product_kernel,
-)
+from qkevolve.circuit import build_feature_map, evaluate_states
 from qkevolve.cli import parse_config_file, run_pipeline
 from qkevolve.evolve import (
     FitnessPair,
@@ -43,13 +35,16 @@ from qkevolve.genome import (
     random_bits,
 )
 
-from conftest import make_eval_data
+from conftest import gram, make_eval_data
 from oracles import (
+    CNOT_MATRIX,
     dual_objective,
     mlp_numeric_grads,
     pareto_front_points,
     peel_fronts,
+    product_kernel,
     qp_bruteforce,
+    reference_states,
 )
 
 REFERENCE_GATE_TABLE = {
@@ -124,18 +119,16 @@ def test_criterion_2_simulator_correctness():
         x = rng.uniform(-1, 1, size=(1, 3))
         unit_ok &= abs(np.linalg.norm(evaluate_states(circ, x)) - 1.0) <= 1e-10
 
-    cnot_genome = CircuitGenome(
-        grid=((GateGene(GateKind.CNOT, 1),), (GateGene(GateKind.IDENTITY, 1),))
-    )
-    cnot_op = build_feature_map(cnot_genome, 1).ops[0]
-    cnot_ok = all(
-        np.allclose(
-            apply_gate(np.eye(4, dtype=complex)[basis], cnot_op),
-            CNOT_MATRIX[:, basis],
-            atol=1e-12,
+    # Rx(pi/2) = -i*X prepares basis state |b0 b1> up to the phase (-i)^(b0+b1)
+    cnot_ok = True
+    for basis in range(4):
+        flips = ((basis >> 1) & 1, basis & 1)
+        prep = [GateGene(GateKind.RX_FIXED if f else GateKind.IDENTITY, 4) for f in flips]
+        cnot_genome = CircuitGenome(
+            grid=((prep[0], GateGene(GateKind.CNOT, 1)), (prep[1], GateGene(GateKind.IDENTITY, 1)))
         )
-        for basis in range(4)
-    )
+        state = evaluate_states(build_feature_map(cnot_genome, 1), np.zeros((1, 1)))[0]
+        cnot_ok &= np.allclose(state, (-1j) ** sum(flips) * CNOT_MATRIX[:, basis], atol=1e-12)
 
     cos_ok = True
     param_kinds = (GateKind.RX_PARAM, GateKind.RY_PARAM, GateKind.RZ_PARAM)
@@ -145,7 +138,7 @@ def test_criterion_2_simulator_correctness():
         circ = build_feature_map(CircuitGenome(grid=((GateGene(kind, step),),)), 1)
         theta = step * np.pi / 8
         x, xp = rng.uniform(-2, 2, size=2)
-        got = kernel(circ, np.array([x]), np.array([xp]))
+        got = gram(circ, np.array([[x]]), np.array([[xp]]))[0, 0]
         cos_ok &= abs(got - np.cos(theta * (x - xp))) <= 1e-10
 
     report(
@@ -159,14 +152,20 @@ def test_criterion_3_gram_properties():
     t0 = time.perf_counter()
     rng = np.random.default_rng(1003)
     ok = True
+    cases = []
     for _ in range(50):
         circ = random_circuit(rng)
         points = rng.uniform(-1, 1, size=(20, 3))
-        km = kernel_matrix(circ, points).values
+        km = gram(circ, points)
         ok &= np.allclose(km, km.T, atol=1e-10)
         ok &= np.allclose(np.diag(km), 1.0, atol=1e-10)
         ok &= np.linalg.eigvalsh(km).min() >= -1e-8
+        cases.append((circ, points, km))
     elapsed = time.perf_counter() - t0
+    # the same Grams from the dense per-gate reference simulator (untimed)
+    for circ, points, km in cases[:10]:
+        ref = reference_states(circ, points)
+        ok &= np.allclose(km, (ref.conj() @ ref.T).real, atol=1e-10)
     report(3, "kernel Gram properties (50 circuits x 20 points)", ok and elapsed < 30.0, f"{elapsed:.1f}s")
 
 
@@ -177,7 +176,7 @@ def test_criterion_4_per_qubit_factorization():
         circ = random_circuit(rng, cnot_free=True)
         for _ in range(2):
             x, xp = rng.uniform(-1, 1, size=(2, 3))
-            ok &= abs(product_kernel(circ, x, xp) - kernel(circ, x, xp)) <= 1e-10
+            ok &= abs(product_kernel(circ, x, xp) - gram(circ, x[None, :], xp[None, :])[0, 0]) <= 1e-10
     report(4, "entanglement-free kernels factorize per qubit", ok)
 
 

@@ -131,6 +131,28 @@ class TestEvaluateFitness:
         assert any("worst-case" in r.message for r in caplog.records)
 
 
+    def test_programming_errors_propagate(self, tiny_sep_dataset, monkeypatch):
+        def broken(circuit, xs):
+            raise TypeError("simulator defect")
+
+        monkeypatch.setattr(evolve, "evaluate_states", broken)
+        x, y01 = tiny_sep_dataset
+        data = make_eval_data(x, y01)
+        with pytest.raises(TypeError, match="simulator defect"):
+            evaluate_fitness(Individual(bits=np.zeros(14, dtype=np.uint8)), data, TINY_CONFIG)
+
+    def test_psd_abort_absorbed_as_worst_case(self, tiny_sep_dataset, monkeypatch, caplog):
+        def abort(*args, **kwargs):
+            raise RuntimeError("kernel matrix min eigenvalue far below zero")
+
+        monkeypatch.setattr(evolve.svm, "fit", abort)
+        x, y01 = tiny_sep_dataset
+        data = make_eval_data(x, y01)
+        fitness = evaluate_fitness(Individual(bits=np.zeros(14, dtype=np.uint8)), data, TINY_CONFIG)
+        assert fitness.accuracy == 0.0
+        assert any("worst-case" in r.message for r in caplog.records)
+
+
 class TestPcaInputs:
     @pytest.mark.parametrize("n_samples", [200, 40])
     def test_slices_match_refit_at_each_count(self, two_gauss_dataset, n_samples):
