@@ -11,7 +11,7 @@ from .genome import (
     genome_length,
 )
 from .circuit import FeatureMapCircuit, build_feature_map, complexity, evaluate_states
-from .svm import SvmConfig, TrainedQSVM, accuracy, decision, fit, predict
+from .svm import SvmConfig, TrainedQSVM, accuracy, fit, predict
 from .reduce import (
     FeatureMatrix,
     PcaModel,

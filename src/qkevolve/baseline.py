@@ -60,15 +60,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for one input vector."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != model.input_dim:
-        raise ValueError(f"input dimension mismatch: expected {model.input_dim}, got {x.size}")
-    _, _, logits = _forward_batch(model, x[None, :])
-    return _softmax(logits)[0]
-
-
 def loss_and_grads(model: MlpModel, xs: np.ndarray, y: np.ndarray):
     """Mean cross-entropy over the batch and its analytic parameter gradients."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))

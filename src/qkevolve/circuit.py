@@ -9,7 +9,7 @@ Conventions fixed here and relied on everywhere else:
 - A CNOT gene in row i controls on qubit i and targets qubit (i+1) mod M.
   On a single-qubit grid a CNOT gene degenerates to an identity.
 - Kernel values are Re<Phi(x)|Phi(x')>, the real part of the full complex
-  inner product; callers form the Gram as (S.conj() @ S'.T).real.
+  inner product; `evolve.train_individual` forms the Gram as Re(S* S'^T).
 
 `evaluate_states` is the one simulation path, and it never applies a gate to
 the full 2^M state. The CNOTs join qubits into clusters (union-find over their

@@ -21,15 +21,22 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import baseline as baseline_mod
-from . import svm as svm_mod
-from .circuit import build_feature_map, complexity, diagram, evaluate_states
-from .evolve import EvalData, GaConfig, model_inputs, run as run_ga
+from .circuit import build_feature_map, complexity, diagram
+from .evolve import (
+    EvalData,
+    GaConfig,
+    HistoryRow,
+    compile_individual,
+    run as run_ga,
+    train_individual,
+)
 from .genome import (
     EncodingMode,
     bits_to_line,
@@ -118,28 +125,10 @@ class RunConfig:
 
 _BOOLS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
+# Config keys and their types are RunConfig's fields; `lambda` is spelled
+# `lambda_` in Python.
 _CONFIG_TYPES = {
-    "mode": str,
-    "dataset": str,
-    "output_dir": str,
-    "image_size": int,
-    "qubits": int,
-    "layers": int,
-    "mu": int,
-    "lambda": int,
-    "p_cross": float,
-    "p_ind": float,
-    "p_gen": float,
-    "generations": int,
-    "patience": int,
-    "seed": int,
-    "test_fraction": float,
-    "svm_c": float,
-    "svm_tol": float,
-    "svm_max_passes": int,
-    "baseline": bool,
-    "baseline_lr": float,
-    "baseline_epochs": int,
+    "lambda" if name == "lambda_" else name: typ for name, typ in get_type_hints(RunConfig).items()
 }
 
 
@@ -161,14 +150,7 @@ def parse_config_file(path, require_dataset: bool = True) -> RunConfig:
             raise ConfigError("config-key", f"line {line_no}: unknown key {key!r}")
         typ = _CONFIG_TYPES[key]
         try:
-            if typ is bool:
-                values[key] = _BOOLS[text.lower()]
-            elif typ is int:
-                values[key] = int(text)
-            elif typ is float:
-                values[key] = float(text)
-            else:
-                values[key] = text
+            values[key] = _BOOLS[text.lower()] if typ is bool else typ(text)
         except (KeyError, ValueError):
             raise ConfigError(
                 "config-value", f"line {line_no}: cannot parse {text!r} as {typ.__name__}"
@@ -181,16 +163,14 @@ def parse_config_file(path, require_dataset: bool = True) -> RunConfig:
         raise ConfigError("config-value", "mode must be 'pca' or 'external'")
     if "lambda" in values:
         values["lambda_"] = values.pop("lambda")
-    config = RunConfig(
-        **{**values, "dataset": Path(values["dataset"]), "output_dir": Path(values["output_dir"])}
-    )
-    if config.qubits * config.layers < 1 or config.qubits < 1 or config.layers < 1:
-        raise ConfigError("config-value", "qubits and layers must be positive")
+    config = RunConfig(**values)
     if not 0.0 < config.test_fraction < 1.0:
         raise ConfigError("config-value", "test_fraction must lie strictly between 0 and 1")
-    for name in ("p_cross", "p_ind", "p_gen"):
-        if not 0.0 <= getattr(config, name) <= 1.0:
-            raise ConfigError("config-value", f"{name} must lie in [0, 1]")
+    try:
+        config.ga_config()
+        config.svm_config()
+    except ValueError as exc:
+        raise ConfigError("config-value", str(exc)) from None
     if require_dataset and not config.dataset.exists():
         raise ConfigError("dataset-missing", f"dataset path does not exist: {config.dataset}")
     return config
@@ -370,30 +350,16 @@ def _threads_from_env() -> int:
 
 
 def _individual_record(ind, config: RunConfig, prepared: PreparedData) -> dict:
-    genome = decode_genome(ind.bits, config.qubits, config.layers, config.encoding_mode)
-    dim = model_inputs(genome, prepared.eval_data)[0].shape[1]
-    circ = build_feature_map(genome, dim)
+    genome, circ, _, _ = compile_individual(ind.bits, prepared.eval_data, config.ga_config())
     return {
         "bitstring": bits_to_line(ind.bits),
         "accuracy": ind.fitness.accuracy,
         "complexity": ind.fitness.complexity,
         "objective_balance": ind.fitness.objective_balance,
         "pca_components": genome.pca_components,
-        "pca_components_effective": None if genome.pca_components is None else dim,
+        "pca_components_effective": None if genome.pca_components is None else circ.input_dim,
         "circuit": diagram(circ),
     }
-
-
-def _refit_best_qsvm(best, config: RunConfig, prepared: PreparedData) -> dict:
-    """Retrain the winning classifier on the same split so its dual solution
-    lands in the report."""
-    data = prepared.eval_data
-    genome = decode_genome(best.bits, config.qubits, config.layers, config.encoding_mode)
-    x_train, _ = model_inputs(genome, data)
-    circ = build_feature_map(genome, x_train.shape[1])
-    states = evaluate_states(circ, x_train)
-    k_train = (states.conj() @ states.T).real
-    return svm_mod.fit(k_train, data.y_train, config.svm_config()).summary()
 
 
 def run_baseline(config: RunConfig, prepared: PreparedData) -> dict:
@@ -444,13 +410,16 @@ def run_pipeline(config: RunConfig) -> RunReport:
     t0 = time.perf_counter()
     threads = _threads_from_env()
     prepared = prepare_data(config)
-    result = run_ga(config.ga_config(), prepared.eval_data, threads=threads)
+    ga_config = config.ga_config()
+    result = run_ga(ga_config, prepared.eval_data, threads=threads)
 
     baseline_report = run_baseline(config, prepared) if config.baseline else None
 
     gen0_complexities = sorted(i.fitness.complexity for i in result.initial_population)
     best_record = _individual_record(result.best, config, prepared)
-    best_record["qsvm"] = _refit_best_qsvm(result.best, config, prepared)
+    # Retrain the winner on the same split so its dual solution lands in the report.
+    _, best_qsvm, _ = train_individual(result.best.bits, prepared.eval_data, ga_config)
+    best_record["qsvm"] = best_qsvm.summary()
     report = RunReport(
         config=config.echo(),
         dataset={
@@ -482,26 +451,12 @@ def run_pipeline(config: RunConfig) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "history.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "generation",
-                "best_accuracy",
-                "best_objective_balance",
-                "archive_size",
-                "evaluations",
-                "wallclock_seconds",
-            ]
-        )
+        columns = [f.name for f in fields(HistoryRow)]
+        writer.writerow(columns)
         for row in result.history:
             writer.writerow(
-                [
-                    row.generation,
-                    repr(row.best_accuracy),
-                    repr(row.best_objective_balance),
-                    row.archive_size,
-                    row.evaluations,
-                    f"{row.wallclock_seconds:.3f}",
-                ]
+                f"{value:.3f}" if name == "wallclock_seconds" else value
+                for name, value in zip(columns, astuple(row))
             )
     with open(out / "archive.json", "w") as fh:
         json.dump(report.archive, fh, indent=2, sort_keys=True, ensure_ascii=False)
@@ -539,7 +494,11 @@ def _cmd_inspect(args) -> int:
     dim = genome.pca_components if config.mode == "pca" else EXTERNAL_FEATURE_DIM
     circ = build_feature_map(genome, dim)
     if genome.pca_components is not None:
-        print(f"pca_components: {genome.pca_components}")
+        print(f"pca_components: {genome.pca_components} requested")
+        print(
+            "note: a run clamps this to at most n_train - 1; its report.json gives "
+            "pca_components_effective and the circuit it evaluated"
+        )
     print(f"complexity: {complexity(circ)}")
     census = circ.census
     print(f"gates: {census.n_local} local, {census.n_cnot} cnot, {census.n_identity} identity")

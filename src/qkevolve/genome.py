@@ -92,14 +92,14 @@ def angle_text(angle_step: int) -> str:
     return num if frac.denominator == 1 else f"{num}/{frac.denominator}"
 
 
-# All 128 decodable genes, indexed by [gate code][angle value].
-_GENE_TABLE = tuple(
-    tuple(GateGene(kind, value + 1) for value in range(16)) for kind in KIND_BY_CODE
+# A field's value is its bits read MSB-first: gate code * 16 + angle value.
+_GENE_WEIGHTS = 1 << np.arange(GATE_BITS - 1, -1, -1)
+_HEADER_WEIGHTS = _GENE_WEIGHTS[-PCA_COMPONENT_BITS:]
+# All 128 decodable genes, and the bits of every 7-bit value, indexed by value.
+_GENES = np.array(
+    [GateGene(kind, value + 1) for kind in KIND_BY_CODE for value in range(16)], dtype=object
 )
-_GATE_BIT_TABLE = np.array(
-    [[(i >> (GATE_BITS - 1 - b)) & 1 for b in range(GATE_BITS)] for i in range(128)],
-    dtype=np.uint8,
-)
+_GATE_BIT_TABLE = ((np.arange(1 << GATE_BITS)[:, None] & _GENE_WEIGHTS) > 0).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -149,14 +149,7 @@ def decode_gate(bits) -> GateGene:
     arr = _as_bits(bits)
     if arr.size != GATE_BITS:
         raise ValueError(f"gate field must have {GATE_BITS} bits, got {arr.size}")
-    code = int(arr[0]) * 4 + int(arr[1]) * 2 + int(arr[2])
-    value = int(arr[3]) * 8 + int(arr[4]) * 4 + int(arr[5]) * 2 + int(arr[6])
-    return _GENE_TABLE[code][value]
-
-
-def encode_gate(gene: GateGene) -> np.ndarray:
-    index = CODE_BY_KIND[gene.kind] * 16 + (gene.angle_step - 1)
-    return _GATE_BIT_TABLE[index].copy()
+    return _GENES[arr @ _GENE_WEIGHTS]
 
 
 def decode_genome(bits, m_qubits: int, n_layers: int, mode: EncodingMode) -> CircuitGenome:
@@ -177,40 +170,26 @@ def decode_genome(bits, m_qubits: int, n_layers: int, mode: EncodingMode) -> Cir
         )
     pca_components = None
     if mode is EncodingMode.PCA_HEADER:
-        header = arr[:PCA_COMPONENT_BITS]
-        value = 0
-        for bit in header:
-            value = value * 2 + int(bit)
-        pca_components = value + 1
+        pca_components = int(arr[:PCA_COMPONENT_BITS] @ _HEADER_WEIGHTS) + 1
         arr = arr[HEADER_BITS:]
-
-    fields = arr.reshape(m_qubits * n_layers, GATE_BITS)
-    codes = fields[:, :3] @ np.array([4, 2, 1], dtype=np.int64)
-    values = fields[:, 3:] @ np.array([8, 4, 2, 1], dtype=np.int64)
-    grid = [[None] * n_layers for _ in range(m_qubits)]
-    for g in range(m_qubits * n_layers):
-        layer, row = divmod(g, m_qubits)
-        grid[row][layer] = _GENE_TABLE[codes[g]][values[g]]
+    genes = _GENES[arr.reshape(-1, GATE_BITS) @ _GENE_WEIGHTS]  # layer-major
     return CircuitGenome(
-        grid=tuple(tuple(row) for row in grid), pca_components=pca_components
+        grid=tuple(tuple(genes[row::m_qubits]) for row in range(m_qubits)),
+        pca_components=pca_components,
     )
 
 
 def encode_genome(genome: CircuitGenome, mode: EncodingMode) -> np.ndarray:
     """Inverse of decode_genome; the spare header bit is emitted as 0."""
-    chunks = []
+    cells = (gene for layer in zip(*genome.grid) for gene in layer)
+    values = [CODE_BY_KIND[gene.kind] * 16 + gene.angle_step - 1 for gene in cells]
     if mode is EncodingMode.PCA_HEADER:
         if genome.pca_components is None:
             raise ValueError("PCA_HEADER mode requires pca_components")
-        value = genome.pca_components - 1
-        header = [(value >> (PCA_COMPONENT_BITS - 1 - b)) & 1 for b in range(PCA_COMPONENT_BITS)]
-        chunks.append(np.array(header + [0], dtype=np.uint8))
+        values.insert(0, (genome.pca_components - 1) << 1)
     elif genome.pca_components is not None:
         raise ValueError("FIXED_FEATURES mode forbids pca_components")
-    for layer in range(genome.n_layers):
-        for row in range(genome.n_qubits):
-            chunks.append(encode_gate(genome.grid[row][layer]))
-    return np.concatenate(chunks)
+    return _GATE_BIT_TABLE[values].ravel()
 
 
 def bits_to_line(bits) -> str:

@@ -155,15 +155,6 @@ def fit(k_train, y, config: SvmConfig | None = None) -> TrainedQSVM:
     )
 
 
-def decision(model: TrainedQSVM, k_row: np.ndarray) -> float:
-    """Pre-sign decision value for one point given its kernel row against the
-    training set."""
-    k_row = np.asarray(k_row, dtype=float).ravel()
-    if k_row.size != model.dual_coefs.size:
-        raise ValueError("kernel row length does not match the training set")
-    return float((model.dual_coefs * model.labels) @ k_row + model.bias)
-
-
 def predict(model: TrainedQSVM, k_test) -> np.ndarray:
     """Signs of the decision values for a q x n_train kernel block; ties at
     exactly zero go to +1."""

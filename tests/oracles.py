@@ -7,6 +7,9 @@ instead of fused blocks on qubit clusters, kernels of CNOT-free circuits as
 products of per-qubit inner products, the SVM dual via exhaustive active-set
 enumeration instead of pairwise updates, domination fronts via repeated peeling, gradients via central
 differences, and bilinear resampling via a scalar loop.
+
+Two single-point helpers that only tests use live here too: the SVM decision
+value of one kernel row and the MLP's class probabilities for one input.
 """
 
 from __future__ import annotations
@@ -135,6 +138,15 @@ def qp_bruteforce(k: np.ndarray, y: np.ndarray, c: float):
     return best_alpha, best_obj
 
 
+def decision(model, k_row: np.ndarray) -> float:
+    """Pre-sign SVM decision value for one point given its kernel row against
+    the training set."""
+    k_row = np.asarray(k_row, dtype=float).ravel()
+    if k_row.size != model.dual_coefs.size:
+        raise ValueError("kernel row length does not match the training set")
+    return float((model.dual_coefs * model.labels) @ k_row + model.bias)
+
+
 def pareto_front_points(points) -> set:
     """Non-dominated (accuracy, objective_balance) pairs of a point cloud,
     accuracy maximized and objective balance minimized."""
@@ -177,6 +189,18 @@ def bilinear_reference(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
             bot = img[y1, x0] * (1 - fx) + img[y1, x1] * fx
             out[r, col] = top * (1 - fy) + bot * fy
     return out
+
+
+def forward(model, x: np.ndarray) -> np.ndarray:
+    """MLP class probabilities for one input vector, through the package's
+    batched layers."""
+    from qkevolve.baseline import _forward_batch, _softmax
+
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != model.input_dim:
+        raise ValueError(f"input dimension mismatch: expected {model.input_dim}, got {x.size}")
+    _, _, logits = _forward_batch(model, x[None, :])
+    return _softmax(logits)[0]
 
 
 def mlp_numeric_grads(model, xs: np.ndarray, y: np.ndarray, h: float = 1e-5) -> dict:

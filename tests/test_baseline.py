@@ -4,13 +4,12 @@ import pytest
 from qkevolve.baseline import (
     MlpModel,
     evaluate,
-    forward,
     init_model,
     loss_and_grads,
     train,
 )
 
-from oracles import mlp_numeric_grads
+from oracles import forward, mlp_numeric_grads
 
 
 def blobs(rng, n_per_class=40, gap=2.0, scale=0.5):

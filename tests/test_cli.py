@@ -13,8 +13,8 @@ from qkevolve.cli import (
     prepare_data,
     run_pipeline,
 )
-from qkevolve.evolve import FitnessPair, Individual
-from qkevolve.genome import genome_length
+from qkevolve.evolve import FitnessPair, Individual, train_individual
+from qkevolve.genome import genome_length, line_to_bits
 from qkevolve.reduce import stratified_split
 
 from oracles import bilinear_reference
@@ -115,6 +115,18 @@ class TestConfigParsing:
         path = write_config(tmp_path / "c.cfg", mode="magic", dataset=".", output_dir=".")
         with pytest.raises(ConfigError, match="mode"):
             parse_config_file(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mu", 0), ("lambda", 0), ("svm_c", 0), ("svm_tol", 0), ("qubits", 0), ("p_gen", 1.5)],
+    )
+    def test_out_of_range_value_rejected_before_loading(self, tmp_path, key, value):
+        path = write_config(
+            tmp_path / "c.cfg", mode="pca", dataset=tmp_path, output_dir=tmp_path, **{key: value}
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_file(path)
+        assert excinfo.value.code == "config-value"
 
 
 class TestPgm:
@@ -276,6 +288,16 @@ class TestPipeline:
         assert record["pca_components"] == 64
         assert record["pca_components_effective"] == prepared.eval_data.x_train.shape[0] - 1 == 11
 
+    def test_train_individual_reproduces_reported_best(self, tmp_path):
+        dataset = make_image_tree(tmp_path / "data")
+        config = parse_config_file(small_run_config(tmp_path, dataset))
+        report = run_pipeline(config)
+        bits = line_to_bits(report.best["bitstring"])
+        data = prepare_data(config).eval_data
+        _, classifier, accuracy = train_individual(bits, data, config.ga_config())
+        assert accuracy == report.best["accuracy"]
+        assert classifier.summary() == report.best["qsvm"]
+
     def test_external_mode_end_to_end(self, tmp_path, two_gauss_dataset):
         x, y01 = two_gauss_dataset
         csv_path = tmp_path / "features.csv"
@@ -327,7 +349,8 @@ class TestCommands:
         genome = "0000000" + "0000111" + "1010000"  # header=1 comp; Rx(x0*pi); CNOT
         assert main(["inspect", "--genome", genome, "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
-        assert "pca_components: 1" in out
+        assert "pca_components: 1 requested" in out
+        assert "pca_components_effective" in out
         assert "complexity: 1.5" in out
         assert "Rx(x0·π)" in out and "●" in out
 

@@ -13,7 +13,6 @@ from qkevolve.genome import (
     bits_to_line,
     decode_gate,
     decode_genome,
-    encode_gate,
     encode_genome,
     genome_length,
     line_to_bits,

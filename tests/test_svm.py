@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qkevolve.svm import SvmConfig, TrainedQSVM, accuracy, decision, fit, predict
+from qkevolve.svm import SvmConfig, TrainedQSVM, accuracy, fit, predict
 
-from oracles import dual_objective, qp_bruteforce
+from oracles import decision, dual_objective, qp_bruteforce
 
 
 def random_psd_kernel(rng, n, unit_diag=True):
