@@ -46,6 +46,7 @@ from .genome import (
 )
 from .reduce import (
     FeatureMatrix,
+    check_test_fraction,
     load_external_features,
     standardize_apply,
     standardize_fit,
@@ -164,9 +165,8 @@ def parse_config_file(path, require_dataset: bool = True) -> RunConfig:
     if "lambda" in values:
         values["lambda_"] = values.pop("lambda")
     config = RunConfig(**values)
-    if not 0.0 < config.test_fraction < 1.0:
-        raise ConfigError("config-value", "test_fraction must lie strictly between 0 and 1")
     try:
+        check_test_fraction(config.test_fraction)
         config.ga_config()
         config.svm_config()
     except ValueError as exc:

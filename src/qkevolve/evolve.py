@@ -79,6 +79,10 @@ class GaConfig:
             raise ValueError("mu and lambda must be at least 1")
         if self.m_qubits < 1 or self.n_layers < 1:
             raise ValueError("grid dimensions must be at least 1x1")
+        if self.max_generations < 1:
+            raise ValueError("max_generations must be at least 1")
+        if self.patience < 0:
+            raise ValueError("patience must be at least 0")
         for name in ("p_cross", "p_ind", "p_gen"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:

@@ -102,6 +102,11 @@ def pca_slice(model: PcaModel, r: int) -> PcaModel:
     )
 
 
+def check_test_fraction(test_fraction: float) -> None:
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError("test_fraction must lie strictly between 0 and 1")
+
+
 def stratified_split(
     x: np.ndarray, y: np.ndarray, test_fraction: float = 0.25, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -115,8 +120,7 @@ def stratified_split(
     x = np.asarray(x)
     if x.shape[0] != y.size:
         raise ValueError("feature rows and labels disagree in length")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie strictly between 0 and 1")
+    check_test_fraction(test_fraction)
     classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2:
         raise ValueError("stratified split requires at least two classes")

@@ -5,10 +5,12 @@ Solves the standard dual
     max_a  sum_i a_i - 1/2 sum_ij a_i a_j y_i y_j K_ij
     s.t.   0 <= a_i <= C,   sum_i a_i y_i = 0
 
-with a deterministic maximal-violating-pair working-set method (sequential
-pairwise optimization; no randomness, so a (K, y, config) triple always yields
-the same model). The decision function is f(x) = sum_i a_i y_i K(x_i, x) + b
-and predictions are its sign, with sign(0) mapped to +1.
+with deterministic maximal-violating-pair steps (Keerthi et al., Neural Comput.
+13, 2001) on the signed duals b_i = y_i a_i in [min(0, y_i C), max(0, y_i C)]:
+no y_i y_j K_ij matrix is formed, and since negation is exact and rounding is
+sign-symmetric, every step gives the floats of the a-form. No randomness, so a
+(K, y, config) triple always yields the same model. Predictions are the sign of
+f(x) = sum_i a_i y_i K(x_i, x) + b, with sign(0) mapped to +1.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ class SvmConfig:
             raise ValueError("c_reg must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_passes < 1:
+            raise ValueError("max_passes must be at least 1")
 
 
 @dataclass
@@ -94,57 +98,38 @@ def fit(k_train, y, config: SvmConfig | None = None) -> TrainedQSVM:
     k = _psd_clamp(k)
 
     c_reg, tol = config.c_reg, config.tol
-    q = k * np.outer(y, y)
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of 1/2 a'Qa - sum(a)
+    lo, hi = np.minimum(0.0, y * c_reg), np.maximum(0.0, y * c_reg)
+    beta = np.zeros(n)  # signed duals y * alpha, each boxed in [lo, hi]
+    yg = y.copy()  # y_i - f_i without bias, i.e. minus y_i times the dual gradient
+    columns = k.T.copy()  # k[:, i] contiguously; rows of k may differ in the last bit
 
     for _ in range(config.max_passes):
-        yg = -(y * grad)  # equals y_i - f_i(without bias)
-        up = ((y > 0) & (alpha < c_reg)) | ((y < 0) & (alpha > 0.0))
-        low = ((y > 0) & (alpha > 0.0)) | ((y < 0) & (alpha < c_reg))
-        if not up.any() or not low.any():
-            break
-        up_idx = np.flatnonzero(up)
-        low_idx = np.flatnonzero(low)
-        i = up_idx[np.argmax(yg[up_idx])]
-        j = low_idx[np.argmin(yg[low_idx])]
+        i = np.argmax(np.where(beta < hi, yg, -np.inf))
+        j = np.argmin(np.where(beta > lo, yg, np.inf))
         violation = yg[i] - yg[j]
         if violation <= tol:
             break
         quad = k[i, i] + k[j, j] - 2.0 * k[i, j]
         if quad <= 0.0:
             quad = 1e-12
-        bound_i = (c_reg - alpha[i]) if y[i] > 0 else alpha[i]
-        bound_j = alpha[j] if y[j] > 0 else (c_reg - alpha[j])
+        bound_i, bound_j = hi[i] - beta[i], beta[j] - lo[j]
         t = min(violation / quad, bound_i, bound_j)
         if t <= 0.0:
             break
-        new_i = alpha[i] + y[i] * t
-        new_j = alpha[j] - y[j] * t
         # land exactly on the box when a bound is the binding constraint
-        if t == bound_i:
-            new_i = c_reg if y[i] > 0 else 0.0
-        if t == bound_j:
-            new_j = 0.0 if y[j] > 0 else c_reg
-        d_i, d_j = new_i - alpha[i], new_j - alpha[j]
-        alpha[i], alpha[j] = new_i, new_j
-        grad += q[:, i] * d_i + q[:, j] * d_j
+        new_i = hi[i] if t == bound_i else beta[i] + t
+        new_j = lo[j] if t == bound_j else beta[j] - t
+        yg -= columns[i] * (new_i - beta[i]) + columns[j] * (new_j - beta[j])
+        beta[i], beta[j] = new_i, new_j
 
+    alpha = np.abs(beta)  # abs also turns a -0.0 dual into 0.0
+    residual = y - k @ beta
     margin = (alpha > SUPPORT_TOL) & (alpha < c_reg - SUPPORT_TOL)
-    scores = k @ (alpha * y)
-    residual = y - scores
     if margin.any():
-        bias = float(residual[margin].mean())
+        bias = residual[margin].mean()
     else:
         # midpoint of the bias interval allowed by the bound variables
-        up = ((y > 0) & (alpha < c_reg)) | ((y < 0) & (alpha > 0.0))
-        low = ((y > 0) & (alpha > 0.0)) | ((y < 0) & (alpha < c_reg))
-        lo = residual[up].max() if up.any() else None
-        hi = residual[low].min() if low.any() else None
-        if lo is not None and hi is not None:
-            bias = 0.5 * (lo + hi)
-        else:
-            bias = float(lo if lo is not None else (hi if hi is not None else 0.0))
+        bias = 0.5 * (residual[beta < hi].max() + residual[beta > lo].min())
 
     return TrainedQSVM(
         dual_coefs=alpha,

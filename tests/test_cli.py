@@ -118,7 +118,19 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("mu", 0), ("lambda", 0), ("svm_c", 0), ("svm_tol", 0), ("qubits", 0), ("p_gen", 1.5)],
+        [
+            ("mu", 0),
+            ("lambda", 0),
+            ("svm_c", 0),
+            ("svm_tol", 0),
+            ("svm_max_passes", 0),
+            ("qubits", 0),
+            ("p_gen", 1.5),
+            ("generations", 0),
+            ("patience", -1),
+            ("test_fraction", 0),
+            ("test_fraction", 1.0),
+        ],
     )
     def test_out_of_range_value_rejected_before_loading(self, tmp_path, key, value):
         path = write_config(

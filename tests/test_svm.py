@@ -41,6 +41,13 @@ class TestFit:
             _, best = qp_bruteforce(k, y, c)
             assert dual_objective(model.dual_coefs, k, y) == pytest.approx(best, abs=1e-4)
 
+    def test_all_bounded_duals_take_the_midpoint_bias(self):
+        # both duals end at C, so no margin vector fixes b; the residuals
+        # 1 - 0.1 and -1 + 0.4 bound it and the midpoint is taken
+        model = fit(np.diag([1.0, 4.0]), [1, -1], SvmConfig(c_reg=0.1))
+        assert np.array_equal(model.dual_coefs, [0.1, 0.1])
+        assert model.bias == pytest.approx(0.15)
+
     def test_kkt_invariants_property_suite(self):
         # 200 random instances, n <= 30: box, equality, margin conditions
         rng = np.random.default_rng(103)
@@ -51,6 +58,7 @@ class TestFit:
             config = SvmConfig(c_reg=float(rng.choice([0.5, 1.0, 4.0])))
             model = fit(k, y, config)
             alpha = model.dual_coefs
+            assert not np.signbit(alpha).any()
             assert np.all(alpha >= -1e-12)
             assert np.all(alpha <= config.c_reg + 1e-12)
             assert abs(float(alpha @ y)) < 1e-8
