@@ -237,9 +237,13 @@ def _load_image(path: Path) -> np.ndarray:
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Half-pixel-center bilinear resampling with edge clamping, so output
-    corners reproduce input corners exactly."""
+    corners reproduce input corners exactly. At the input's own shape every
+    sample lands on a pixel center with zero weight on its neighbours, so the
+    float image is returned as is."""
     img = np.asarray(img, dtype=float)
     h, w = img.shape
+    if (out_h, out_w) == (h, w):
+        return img
     ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0, h - 1)
     xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0, w - 1)
     y0 = np.floor(ys).astype(int)

@@ -9,8 +9,14 @@ with deterministic maximal-violating-pair steps (Keerthi et al., Neural Comput.
 13, 2001) on the signed duals b_i = y_i a_i in [min(0, y_i C), max(0, y_i C)]:
 no y_i y_j K_ij matrix is formed, and since negation is exact and rounding is
 sign-symmetric, every step gives the floats of the a-form. No randomness, so a
-(K, y, config) triple always yields the same model. Predictions are the sign of
+(K, y, config) triple always yields the same model. Running out of max_passes
+above tol logs a warning with the remaining violation. Predictions are the sign of
 f(x) = sum_i a_i y_i K(x_i, x) + b, with sign(0) mapped to +1.
+
+Before solving, K is checked for PSD. A Cholesky factorization of K shifted by
+PSD_CLAMP_TOL/2 certifies lambda_min(K) > -PSD_CLAMP_TOL when its backward
+error bound is small enough; otherwise, or when it fails, `eigvalsh` decides
+between returning K, clamping it and aborting.
 """
 
 from __future__ import annotations
@@ -68,6 +74,23 @@ class TrainedQSVM:
 
 
 def _psd_clamp(k: np.ndarray) -> np.ndarray:
+    """K itself when its min eigenvalue is at least -PSD_CLAMP_TOL, K shifted up
+    to PSD when it is only slightly below; RuntimeError when far below."""
+    n = k.shape[0]
+    # Cholesky certificate: the computed factor of A is exact for some A + E
+    # with ||E||_2 <= (n+1) n (eps/2) max A_ii to first order (Higham, Accuracy
+    # and Stability of Numerical Algorithms, Thm 10.3). When (n+1) n eps
+    # max(1, max|K_ii|) is below PSD_CLAMP_TOL/8, factoring K + (PSD_CLAMP_TOL/2) I
+    # proves lambda_min(K) > -PSD_CLAMP_TOL, where the rule below returns K as is.
+    error_bound = (n + 1) * n * np.finfo(float).eps * max(1.0, np.abs(k.diagonal()).max())
+    if error_bound < PSD_CLAMP_TOL / 8:
+        shifted = k.copy()
+        shifted.flat[:: n + 1] += PSD_CLAMP_TOL / 2
+        try:
+            np.linalg.cholesky(shifted)
+            return k
+        except np.linalg.LinAlgError:
+            pass
     eig_min = float(np.linalg.eigvalsh(k)[0])
     if eig_min < -PSD_ABORT_TOL:
         raise RuntimeError(
@@ -98,30 +121,54 @@ def fit(k_train, y, config: SvmConfig | None = None) -> TrainedQSVM:
     k = _psd_clamp(k)
 
     c_reg, tol = config.c_reg, config.tol
-    lo, hi = np.minimum(0.0, y * c_reg), np.maximum(0.0, y * c_reg)
-    beta = np.zeros(n)  # signed duals y * alpha, each boxed in [lo, hi]
+    # Scalars live in Python floats, which round exactly as numpy's float64.
+    signed_c = (y * c_reg).tolist()
+    lo = [min(0.0, v) for v in signed_c]
+    hi = [max(0.0, v) for v in signed_c]
+    beta = [0.0] * n  # signed duals y * alpha, each boxed in [lo, hi]
+    diag = k.diagonal().tolist()
+    # Working sets as additive penalties: 0 where beta < hi (up) or beta > lo
+    # (low), -inf/+inf elsewhere, so yg + penalty masks exactly as np.where.
+    up_pen = np.where(y > 0, 0.0, -np.inf)
+    low_pen = np.where(y < 0, 0.0, np.inf)
     yg = y.copy()  # y_i - f_i without bias, i.e. minus y_i times the dual gradient
     columns = k.T.copy()  # k[:, i] contiguously; rows of k may differ in the last bit
+    buf, step_j = np.empty(n), np.empty(n)  # buf holds the masked scores, then the i term
 
-    for _ in range(config.max_passes):
-        i = np.argmax(np.where(beta < hi, yg, -np.inf))
-        j = np.argmin(np.where(beta > lo, yg, np.inf))
-        violation = yg[i] - yg[j]
+    for passes in range(config.max_passes + 1):
+        i = int(np.add(yg, up_pen, out=buf).argmax())
+        j = int(np.add(yg, low_pen, out=buf).argmin())
+        violation = yg.item(i) - yg.item(j)
         if violation <= tol:
             break
-        quad = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        if passes == config.max_passes:
+            log.warning(
+                "SMO stopped at max_passes=%d with KKT violation %.3e above tol %.1e",
+                passes, violation, tol,
+            )
+            break
+        quad = diag[i] + diag[j] - 2.0 * k.item(i, j)
         if quad <= 0.0:
             quad = 1e-12
-        bound_i, bound_j = hi[i] - beta[i], beta[j] - lo[j]
+        beta_i, beta_j = beta[i], beta[j]
+        bound_i, bound_j = hi[i] - beta_i, beta_j - lo[j]
         t = min(violation / quad, bound_i, bound_j)
         if t <= 0.0:
             break
         # land exactly on the box when a bound is the binding constraint
-        new_i = hi[i] if t == bound_i else beta[i] + t
-        new_j = lo[j] if t == bound_j else beta[j] - t
-        yg -= columns[i] * (new_i - beta[i]) + columns[j] * (new_j - beta[j])
+        new_i = hi[i] if t == bound_i else beta_i + t
+        new_j = lo[j] if t == bound_j else beta_j - t
+        np.multiply(columns[i], new_i - beta_i, out=buf)
+        np.multiply(columns[j], new_j - beta_j, out=step_j)
+        np.add(buf, step_j, out=buf)
+        np.subtract(yg, buf, out=yg)
         beta[i], beta[j] = new_i, new_j
+        up_pen[i] = 0.0 if new_i < hi[i] else -np.inf
+        low_pen[i] = 0.0 if new_i > lo[i] else np.inf
+        up_pen[j] = 0.0 if new_j < hi[j] else -np.inf
+        low_pen[j] = 0.0 if new_j > lo[j] else np.inf
 
+    beta = np.array(beta)
     alpha = np.abs(beta)  # abs also turns a -0.0 dual into 0.0
     residual = y - k @ beta
     margin = (alpha > SUPPORT_TOL) & (alpha < c_reg - SUPPORT_TOL)
@@ -129,7 +176,7 @@ def fit(k_train, y, config: SvmConfig | None = None) -> TrainedQSVM:
         bias = residual[margin].mean()
     else:
         # midpoint of the bias interval allowed by the bound variables
-        bias = 0.5 * (residual[beta < hi].max() + residual[beta > lo].min())
+        bias = 0.5 * (residual[up_pen == 0.0].max() + residual[low_pen == 0.0].min())
 
     return TrainedQSVM(
         dual_coefs=alpha,

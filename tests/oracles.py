@@ -6,7 +6,8 @@ circuits one gate at a time as dense 2^M x 2^M matrices on the full state
 instead of fused blocks on qubit clusters, kernels of CNOT-free circuits as
 products of per-qubit inner products, the SVM dual via exhaustive active-set
 enumeration instead of pairwise updates, domination fronts via repeated peeling, gradients via central
-differences, and bilinear resampling via a scalar loop.
+differences, and bilinear resampling via a scalar loop. `reference_fit` is the
+SVM solver before its allocation-free rewrite, kept as a bit-exact reference.
 
 Two single-point helpers that only tests use live here too: the SVM decision
 value of one kernel row and the MLP's class probabilities for one input.
@@ -19,6 +20,7 @@ import itertools
 import numpy as np
 
 from qkevolve.genome import ROTATION_AXIS, GateKind
+from qkevolve.svm import PSD_ABORT_TOL, PSD_CLAMP_TOL, SUPPORT_TOL, SvmConfig, TrainedQSVM
 
 CNOT_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -136,6 +138,74 @@ def qp_bruteforce(k: np.ndarray, y: np.ndarray, c: float):
         if obj > best_obj:
             best_obj, best_alpha = obj, alpha
     return best_alpha, best_obj
+
+
+def reference_fit(k_train, y, config=None):
+    """The SVM solver as it stood before its allocation-free rewrite: every
+    kernel goes through `eigvalsh`, and each step builds its working sets with
+    `np.where`. `svm.fit` must return the same floats, bit for bit."""
+    config = config or SvmConfig()
+    k = np.asarray(k_train, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    n = y.size
+    if k.shape != (n, n):
+        raise ValueError(f"kernel shape {k.shape} does not match {n} labels")
+    if not np.isfinite(k).all():
+        raise ValueError("kernel matrix contains non-finite entries")
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValueError("labels must be -1 or +1")
+    if np.unique(y).size < 2:
+        raise ValueError("training requires both classes")
+    eig_min = float(np.linalg.eigvalsh(k)[0])
+    if eig_min < -PSD_ABORT_TOL:
+        raise RuntimeError(
+            f"kernel matrix min eigenvalue {eig_min:.3e} is far below zero; "
+            "this indicates a simulator bug, not rounding"
+        )
+    if eig_min < -PSD_CLAMP_TOL:
+        k = k + (-eig_min) * np.eye(k.shape[0])
+
+    c_reg, tol = config.c_reg, config.tol
+    lo, hi = np.minimum(0.0, y * c_reg), np.maximum(0.0, y * c_reg)
+    beta = np.zeros(n)  # signed duals y * alpha, each boxed in [lo, hi]
+    yg = y.copy()  # y_i - f_i without bias, i.e. minus y_i times the dual gradient
+    columns = k.T.copy()  # k[:, i] contiguously; rows of k may differ in the last bit
+
+    for _ in range(config.max_passes):
+        i = np.argmax(np.where(beta < hi, yg, -np.inf))
+        j = np.argmin(np.where(beta > lo, yg, np.inf))
+        violation = yg[i] - yg[j]
+        if violation <= tol:
+            break
+        quad = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        if quad <= 0.0:
+            quad = 1e-12
+        bound_i, bound_j = hi[i] - beta[i], beta[j] - lo[j]
+        t = min(violation / quad, bound_i, bound_j)
+        if t <= 0.0:
+            break
+        # land exactly on the box when a bound is the binding constraint
+        new_i = hi[i] if t == bound_i else beta[i] + t
+        new_j = lo[j] if t == bound_j else beta[j] - t
+        yg -= columns[i] * (new_i - beta[i]) + columns[j] * (new_j - beta[j])
+        beta[i], beta[j] = new_i, new_j
+
+    alpha = np.abs(beta)  # abs also turns a -0.0 dual into 0.0
+    residual = y - k @ beta
+    margin = (alpha > SUPPORT_TOL) & (alpha < c_reg - SUPPORT_TOL)
+    if margin.any():
+        bias = residual[margin].mean()
+    else:
+        # midpoint of the bias interval allowed by the bound variables
+        bias = 0.5 * (residual[beta < hi].max() + residual[beta > lo].min())
+
+    return TrainedQSVM(
+        dual_coefs=alpha,
+        labels=y,
+        bias=float(bias),
+        support_mask=alpha > SUPPORT_TOL,
+        regularization=c_reg,
+    )
 
 
 def decision(model, k_row: np.ndarray) -> float:

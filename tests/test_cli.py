@@ -194,8 +194,11 @@ class TestBilinearResize:
 
     def test_identity_when_sizes_match(self):
         rng = np.random.default_rng(10)
-        img = rng.uniform(size=(5, 5))
-        assert np.allclose(bilinear_resize(img, 5, 5), img, atol=1e-12)
+        for shape in ((5, 5), (4, 6)):
+            img = rng.uniform(size=shape)
+            # the shortcut and the general half-pixel formula are both exactly the identity
+            assert np.array_equal(bilinear_resize(img, *shape), img)
+            assert np.array_equal(bilinear_reference(img, *shape), img)
 
 
 class TestLoadImageDataset:

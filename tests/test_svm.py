@@ -1,9 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 
+from qkevolve import svm
 from qkevolve.svm import SvmConfig, TrainedQSVM, accuracy, fit, predict
 
-from oracles import decision, dual_objective, qp_bruteforce
+from oracles import decision, dual_objective, qp_bruteforce, reference_fit
 
 
 def random_psd_kernel(rng, n, unit_diag=True):
@@ -13,6 +16,25 @@ def random_psd_kernel(rng, n, unit_diag=True):
         d = np.sqrt(np.diag(k))
         k = k / np.outer(d, d)
     return k
+
+
+def kernel_with_spectrum(rng, eigenvalues):
+    q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
+    return (q * eigenvalues) @ q.T
+
+
+def assert_same_model(got, want):
+    assert got.dual_coefs.tobytes() == want.dual_coefs.tobytes()
+    assert got.bias == want.bias
+    assert np.array_equal(got.support_mask, want.support_mask)
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    return calls
 
 
 def random_labels(rng, n):
@@ -125,6 +147,79 @@ class TestFit:
         k[0, 1] = k[1, 0] = 1.5  # min eigenvalue -0.5
         with pytest.raises(RuntimeError, match="simulator bug"):
             fit(k, np.array([1.0, -1.0, 1.0, -1.0]))
+
+    def test_bit_identical_to_reference_solver(self, caplog):
+        # random PSD kernels of every rank, unit and raw diagonals, every
+        # C and a short, medium and unlimited step budget; every tenth kernel
+        # is shifted to a -3e-8 floor so the clamp path runs too
+        rng = np.random.default_rng(211)
+        clamps = 0
+        for case in range(300):
+            n = int(rng.integers(2, 41))
+            a = rng.normal(size=(n, int(rng.integers(1, n + 1))))
+            k = a @ a.T
+            if rng.integers(2):
+                d = np.sqrt(np.diag(k))
+                k = k / np.outer(d, d)
+            if case % 10 == 0:
+                k = k - 3e-8 * np.eye(n)
+            y = random_labels(rng, n)
+            config = SvmConfig(
+                c_reg=float(rng.choice([0.01, 0.1, 0.5, 1.0, 4.0])),
+                max_passes=int(rng.choice([1, 3, 100_000])),
+            )
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="qkevolve.svm"):
+                got = fit(k, y, config)
+            clamps += any("clamping" in r.getMessage() for r in caplog.records)
+            assert_same_model(got, reference_fit(k, y, config))
+        assert clamps >= 10
+
+    def test_certificate_skips_eigvalsh_on_a_psd_kernel(self, eigvalsh_calls):
+        k = random_psd_kernel(np.random.default_rng(223), 30)
+        assert svm._psd_clamp(k) is k
+        assert eigvalsh_calls == []
+
+    def test_tiny_negative_eigenvalue_returns_unclamped_without_warning(self, caplog):
+        rng = np.random.default_rng(227)
+        k = kernel_with_spectrum(rng, np.concatenate([[-5e-9], rng.uniform(0.5, 2.0, 11)]))
+        y = random_labels(rng, 12)
+        with caplog.at_level(logging.WARNING, logger="qkevolve.svm"):
+            assert svm._psd_clamp(k) is k
+            assert_same_model(fit(k, y), reference_fit(k, y))
+        assert caplog.records == []
+
+    def test_failed_precondition_falls_back_to_eigvalsh(self, eigvalsh_calls):
+        rng = np.random.default_rng(229)
+        # (n+1) n eps max|K_ii| ~ 2e-6 at a 1e8 scale, far above PSD_CLAMP_TOL/8
+        k = 1e8 * random_psd_kernel(rng, 10)
+        y = random_labels(rng, 10)
+        got = fit(k, y, SvmConfig(c_reg=1e-8))
+        assert eigvalsh_calls == [1]
+        assert_same_model(got, reference_fit(k, y, SvmConfig(c_reg=1e-8)))
+
+    def test_failed_factorization_falls_back_to_eigvalsh(self, eigvalsh_calls):
+        k = np.eye(4)
+        k[0, 1] = k[1, 0] = 1.0 + 5e-8  # min eigenvalue ~ -5e-8: Cholesky of K + 5e-9 I fails
+        assert not np.array_equal(svm._psd_clamp(k), k)
+        assert eigvalsh_calls == [1]
+
+    def test_exhausted_max_passes_warns_with_the_remaining_gap(self, caplog):
+        rng = np.random.default_rng(233)
+        k = random_psd_kernel(rng, 20)
+        y = random_labels(rng, 20)
+        with caplog.at_level(logging.WARNING, logger="qkevolve.svm"):
+            got = fit(k, y, SvmConfig(max_passes=1))
+        (record,) = caplog.records
+        assert record.name == "qkevolve.svm"
+        assert "max_passes=1" in record.getMessage()
+        assert "violation" in record.getMessage()
+        assert "worst-case" not in record.getMessage()
+        assert_same_model(got, reference_fit(k, y, SvmConfig(max_passes=1)))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="qkevolve.svm"):
+            fit(k, y)
+        assert caplog.records == []
 
 
 class TestDecision:
