@@ -83,6 +83,15 @@ def loss_and_grads(model: MlpModel, xs: np.ndarray, y: np.ndarray):
     return loss, {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
 
 
+def check_training_params(lr: float, epochs: int) -> None:
+    """The one rule for the training settings: a negative rate would ascend
+    the loss, and a rate of 0 (which keeps the initial parameters) is allowed."""
+    if not lr >= 0.0:
+        raise ValueError("baseline_lr must not be negative")
+    if epochs < 1:
+        raise ValueError("baseline_epochs must be at least 1")
+
+
 def train(
     x_train: np.ndarray,
     y_train: np.ndarray,
@@ -92,6 +101,7 @@ def train(
     hidden_dim: int = 6,
 ) -> MlpModel:
     """Full-batch Adam; the per-epoch loss curve is stored on the model."""
+    check_training_params(lr, epochs)
     xs = np.atleast_2d(np.asarray(x_train, dtype=float))
     y = np.asarray(y_train, dtype=int).ravel()
     if not np.all(np.isin(y, (0, 1))):

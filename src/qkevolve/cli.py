@@ -166,7 +166,10 @@ def parse_config_file(path, require_dataset: bool = True) -> RunConfig:
         values["lambda_"] = values.pop("lambda")
     config = RunConfig(**values)
     try:
+        if config.image_size < 1:
+            raise ValueError("image_size must be at least 1")
         check_test_fraction(config.test_fraction)
+        baseline_mod.check_training_params(config.baseline_lr, config.baseline_epochs)
         config.ga_config()
         config.svm_config()
     except ValueError as exc:

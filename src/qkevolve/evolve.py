@@ -83,6 +83,8 @@ class GaConfig:
             raise ValueError("max_generations must be at least 1")
         if self.patience < 0:
             raise ValueError("patience must be at least 0")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
         for name in ("p_cross", "p_ind", "p_gen"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -184,7 +186,7 @@ def flipbit_mutation(ind: Individual, config: GaConfig, rng: np.random.Generator
     flips = rng.random(ind.bits.size) < config.p_gen
     if not flips.any():
         return ind
-    return Individual(bits=ind.bits ^ flips.astype(np.uint8), fitness=None, eval_id=ind.eval_id)
+    return Individual(bits=ind.bits ^ flips.astype(np.uint8), eval_id=ind.eval_id)
 
 
 def two_point_crossover(
@@ -192,7 +194,8 @@ def two_point_crossover(
 ) -> tuple[Individual, Individual]:
     """With probability p_cross, swap the segment between two uniform cut
     points 1 <= i < j < L; otherwise return plain copies. Strings shorter than
-    three bits admit no interior cut pair and always copy."""
+    three bits admit no interior cut pair and always copy. Children carry no
+    fitness: `run` finds a copy's fitness in its bitstring cache."""
     if a.bits.size != b.bits.size:
         raise ValueError("parents must have equal length")
     length = a.bits.size
@@ -202,44 +205,31 @@ def two_point_crossover(
         bits1 = a.bits.copy()
         bits2 = b.bits.copy()
         bits1[i:j], bits2[i:j] = b.bits[i:j].copy(), a.bits[i:j].copy()
-        return (
-            Individual(bits=bits1, fitness=None, eval_id=-1),
-            Individual(bits=bits2, fitness=None, eval_id=-1),
-        )
-    return (
-        Individual(bits=a.bits.copy(), fitness=a.fitness, eval_id=-1),
-        Individual(bits=b.bits.copy(), fitness=b.fitness, eval_id=-1),
-    )
+        return Individual(bits=bits1), Individual(bits=bits2)
+    return Individual(bits=a.bits.copy()), Individual(bits=b.bits.copy())
 
 
 def fast_non_dominated_sort(fitnesses: list[FitnessPair]) -> list[list[int]]:
-    """Indices grouped into fronts, rank 0 first (standard NSGA-II sort)."""
-    n = len(fitnesses)
-    dominated_by = [[] for _ in range(n)]
-    domination_count = [0] * n
-    fronts = [[]]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(fitnesses[i], fitnesses[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(fitnesses[j], fitnesses[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-    for i in range(n):
-        if domination_count[i] == 0:
-            fronts[0].append(i)
-    current = 0
-    while fronts[current]:
-        nxt = []
-        for i in fronts[current]:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    nxt.append(j)
-        current += 1
-        fronts.append(sorted(nxt))
-    fronts.pop()
+    """Indices grouped into fronts, rank 0 first, each sorted ascending.
+
+    A sweep in (accuracy descending, O_B ascending) order puts each point in
+    the first front whose latest member does not dominate it, or opens a new
+    front. In two objectives that member has the lowest O_B in its front, all
+    at accuracy no lower than the point's, so it dominates the point whenever
+    any member of the front does.
+    """
+    order = sorted(
+        range(len(fitnesses)),
+        key=lambda i: (-fitnesses[i].accuracy, fitnesses[i].objective_balance),
+    )
+    fronts: list[list[int]] = []
+    for i in order:
+        for front in fronts:
+            if not dominates(fitnesses[front[-1]], fitnesses[i]):
+                front.append(i)
+                break
+        else:
+            fronts.append([i])
     return [sorted(f) for f in fronts]
 
 
@@ -355,12 +345,13 @@ def run(
     """Full (mu + lambda) evolution.
 
     Each generation draws lambda parents by binary domination tournament,
-    recombines consecutive pairs, mutates, evaluates whatever changed and
-    selects the next mu from parents plus offspring. The Pareto archive is
-    updated every generation and the run stops at max_generations or when the
-    archive has not changed for `patience` generations. The best individual is
-    the archive member with maximum accuracy, ties broken by minimum O_B and
-    then by eval_id.
+    recombines consecutive pairs, mutates, and looks every offspring up in a
+    cache keyed by its bitstring, so only unseen bitstrings are evaluated (on a
+    pool of `threads` workers). It then selects the next mu from parents plus
+    offspring. The Pareto archive is updated every generation and the run
+    stops at max_generations or when the archive has not changed for
+    `patience` generations. The best individual is the archive member with
+    maximum accuracy, ties broken by minimum O_B and then by eval_id.
     """
     length = genome_length(config.m_qubits, config.n_layers, config.mode)
     cache: dict[bytes, FitnessPair] = {}
@@ -370,16 +361,12 @@ def run(
         nonlocal evaluations
         todo = []
         for ind in pending:
+            ind.fitness = cache.get(ind.bits.tobytes())
             if ind.fitness is None:
-                ind.fitness = cache.get(ind.bits.tobytes())
-                if ind.fitness is None:
-                    todo.append(ind)
+                todo.append(ind)
         if todo:
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    results = list(pool.map(lambda i: evaluate_fitness(i, data, config), todo))
-            else:
-                results = [evaluate_fitness(ind, data, config) for ind in todo]
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(lambda i: evaluate_fitness(i, data, config), todo))
             for ind, fit_pair in zip(todo, results):
                 ind.fitness = fit_pair
                 cache[ind.bits.tobytes()] = fit_pair
@@ -404,8 +391,7 @@ def run(
         for k in range(0, config.lambda_ - 1, 2):
             offspring.extend(two_point_crossover(parents[k], parents[k + 1], config.p_cross, rng))
         if config.lambda_ % 2:
-            last = parents[-1]
-            offspring.append(Individual(bits=last.bits.copy(), fitness=last.fitness, eval_id=-1))
+            offspring.append(Individual(bits=parents[-1].bits.copy()))
         offspring = [flipbit_mutation(child, config, rng) for child in offspring]
         for child in offspring:
             child.eval_id = next_id

@@ -51,8 +51,7 @@ def standardize_apply(params: StandardizationParams, x: np.ndarray) -> np.ndarra
 @dataclass(frozen=True)
 class PcaModel:
     mean: np.ndarray
-    components: np.ndarray  # r x d, orthonormal rows
-    explained_variance: np.ndarray  # length r, non-increasing
+    components: np.ndarray  # r x d, orthonormal rows, by non-increasing variance
 
 
 def pca_fit(train: np.ndarray, r: int) -> PcaModel:
@@ -74,12 +73,11 @@ def pca_fit(train: np.ndarray, r: int) -> PcaModel:
         log.warning("clamped PCA components from %d to %d (n=%d, d=%d)", r, r_eff, n, d)
     mean = train.mean(axis=0)
     centered = train - mean
-    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
     components = vt[:r_eff]
     flip = np.where(components[np.arange(r_eff), np.abs(components).argmax(axis=1)] < 0, -1.0, 1.0)
     components = components * flip[:, None]
-    explained = (singular[:r_eff] ** 2) / (n - 1)
-    return PcaModel(mean=mean, components=components, explained_variance=explained)
+    return PcaModel(mean=mean, components=components)
 
 
 def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
@@ -95,11 +93,7 @@ def pca_slice(model: PcaModel, r: int) -> PcaModel:
     """Truncation of a fitted model to its leading min(r, rank) components;
     identical to refitting with the smaller count."""
     r_eff = int(min(max(1, r), model.components.shape[0]))
-    return PcaModel(
-        mean=model.mean,
-        components=model.components[:r_eff],
-        explained_variance=model.explained_variance[:r_eff],
-    )
+    return PcaModel(mean=model.mean, components=model.components[:r_eff])
 
 
 def check_test_fraction(test_fraction: float) -> None:

@@ -130,6 +130,10 @@ class TestConfigParsing:
             ("patience", -1),
             ("test_fraction", 0),
             ("test_fraction", 1.0),
+            ("baseline_epochs", 0),
+            ("baseline_lr", -0.5),
+            ("image_size", 0),
+            ("seed", -1),
         ],
     )
     def test_out_of_range_value_rejected_before_loading(self, tmp_path, key, value):

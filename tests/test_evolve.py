@@ -260,7 +260,7 @@ class TestTwoPointCrossover:
         c1, c2 = two_point_crossover(a, b, 0.0, rng)
         assert np.array_equal(c1.bits, a.bits) and np.array_equal(c2.bits, b.bits)
         assert c1.bits is not a.bits  # children own their bits
-        assert c1.fitness == a.fitness
+        assert c1.fitness is None  # run finds a copy's fitness in its cache
 
     @given(st.integers(3, 60), st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
@@ -302,7 +302,7 @@ class TestNsga2:
     def test_fronts_match_bruteforce_peeling(self):
         rng = np.random.default_rng(11)
         for _ in range(60):
-            n = int(rng.integers(1, 13))
+            n = int(rng.integers(1, 81))
             fits = [
                 fp(float(rng.integers(0, 5)) / 4, float(rng.integers(0, 5)))
                 for _ in range(n)
@@ -399,6 +399,24 @@ class TestRun:
         assert result.best.fitness.objective_balance == min(
             i.fitness.objective_balance for i in contenders
         )
+
+    def test_clones_are_served_from_the_cache(self, tiny_sep_dataset, monkeypatch):
+        # With no crossover and no mutation every offspring copies a parent
+        # (odd lambda also covers the unpaired copy), so only the initial
+        # population is ever evaluated.
+        x, y01 = tiny_sep_dataset
+        data = make_eval_data(x, y01)
+        calls = []
+
+        def counting(ind, data, config):
+            calls.append(ind.eval_id)
+            return evaluate_fitness(ind, data, config)
+
+        monkeypatch.setattr(evolve, "evaluate_fitness", counting)
+        config = self.small_config(max_generations=10, lambda_=7, p_cross=0.0, p_ind=0.0)
+        result = run(config, data)
+        assert result.generations_run == 10
+        assert sorted(calls) == list(range(config.mu))
 
     def test_threaded_evaluation_matches_serial(self, tiny_sep_dataset):
         x, y01 = tiny_sep_dataset
