@@ -85,9 +85,9 @@ def loss_and_grads(model: MlpModel, xs: np.ndarray, y: np.ndarray):
 
 def check_training_params(lr: float, epochs: int) -> None:
     """The one rule for the training settings: a negative rate would ascend
-    the loss, and a rate of 0 (which keeps the initial parameters) is allowed."""
-    if not lr >= 0.0:
-        raise ValueError("baseline_lr must not be negative")
+    the loss, and a rate of 0 would report the untrained initial model."""
+    if not lr > 0.0:
+        raise ValueError("baseline_lr must be positive")
     if epochs < 1:
         raise ValueError("baseline_epochs must be at least 1")
 

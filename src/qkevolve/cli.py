@@ -8,8 +8,7 @@ Subcommands:
 
 The config file is flat `key = value` text, one key per line, '#' comments
 allowed (schema in the README). Outputs land in the configured output
-directory as report.json, history.csv and archive.json. The only environment
-override is QKEVOLVE_THREADS, the offspring evaluation thread count.
+directory as report.json, history.csv and archive.json.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields
@@ -37,13 +35,7 @@ from .evolve import (
     run as run_ga,
     train_individual,
 )
-from .genome import (
-    EncodingMode,
-    bits_to_line,
-    decode_genome,
-    genome_length,
-    line_to_bits,
-)
+from .genome import EncodingMode, bits_to_line, decode_genome, line_to_bits
 from .reduce import (
     FeatureMatrix,
     check_test_fraction,
@@ -57,7 +49,6 @@ from .svm import SvmConfig
 log = logging.getLogger(__name__)
 
 EXTERNAL_FEATURE_DIM = 64
-THREADS_ENV_VAR = "QKEVOLVE_THREADS"
 
 
 class ConfigError(ValueError):
@@ -93,6 +84,18 @@ class RunConfig:
     baseline: bool = True
     baseline_lr: float = 0.01
     baseline_epochs: int = 100
+
+    def __post_init__(self):
+        """Every run rule, checked once, so no RunConfig exists that a run
+        would reject, whether it was parsed from a file or built in code."""
+        if self.mode not in ("pca", "external"):
+            raise ValueError("mode must be 'pca' or 'external'")
+        if self.image_size < 1:
+            raise ValueError("image_size must be at least 1")
+        check_test_fraction(self.test_fraction)
+        baseline_mod.check_training_params(self.baseline_lr, self.baseline_epochs)
+        self.ga_config()
+        self.svm_config()
 
     @property
     def encoding_mode(self) -> EncodingMode:
@@ -160,18 +163,10 @@ def parse_config_file(path, require_dataset: bool = True) -> RunConfig:
     for required in ("mode", "dataset", "output_dir"):
         if required not in values:
             raise ConfigError("config-key", f"missing required key {required!r}")
-    if values["mode"] not in ("pca", "external"):
-        raise ConfigError("config-value", "mode must be 'pca' or 'external'")
     if "lambda" in values:
         values["lambda_"] = values.pop("lambda")
-    config = RunConfig(**values)
     try:
-        if config.image_size < 1:
-            raise ValueError("image_size must be at least 1")
-        check_test_fraction(config.test_fraction)
-        baseline_mod.check_training_params(config.baseline_lr, config.baseline_epochs)
-        config.ga_config()
-        config.svm_config()
+        config = RunConfig(**values)
     except ValueError as exc:
         raise ConfigError("config-value", str(exc)) from None
     if require_dataset and not config.dataset.exists():
@@ -343,19 +338,6 @@ def prepare_data(config: RunConfig) -> PreparedData:
     )
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-        if threads < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError("threads", f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return threads
-
-
 def _individual_record(ind, config: RunConfig, prepared: PreparedData) -> dict:
     genome, circ, _, _ = compile_individual(ind.bits, prepared.eval_data, config.ga_config())
     return {
@@ -415,10 +397,9 @@ def run_pipeline(config: RunConfig) -> RunReport:
     """Execute the configured run and write report.json, history.csv and
     archive.json into the output directory."""
     t0 = time.perf_counter()
-    threads = _threads_from_env()
     prepared = prepare_data(config)
     ga_config = config.ga_config()
-    result = run_ga(ga_config, prepared.eval_data, threads=threads)
+    result = run_ga(ga_config, prepared.eval_data)
 
     baseline_report = run_baseline(config, prepared) if config.baseline else None
 
@@ -491,13 +472,10 @@ def _cmd_run(args) -> int:
 def _cmd_inspect(args) -> int:
     config = parse_config_file(args.config, require_dataset=False)
     bits = line_to_bits(args.genome)
-    expected = genome_length(config.qubits, config.layers, config.encoding_mode)
-    if bits.size != expected:
-        raise ConfigError(
-            "genome-length",
-            f"expected {expected} bits for this configuration, got {bits.size}",
-        )
-    genome = decode_genome(bits, config.qubits, config.layers, config.encoding_mode)
+    try:
+        genome = decode_genome(bits, config.qubits, config.layers, config.encoding_mode)
+    except ValueError as exc:
+        raise ConfigError("genome-length", str(exc)) from None
     dim = genome.pca_components if config.mode == "pca" else EXTERNAL_FEATURE_DIM
     circ = build_feature_map(genome, dim)
     if genome.pca_components is not None:

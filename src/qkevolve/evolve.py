@@ -140,8 +140,8 @@ def train_individual(
     """Simulate the compiled circuit, train the QSVM on its Gram matrix and
     score it on the held-out rows. Raises what the SVM and PCA guards raise."""
     _, circ, x_train, x_test = compile_individual(bits, data, config)
-    s_train = evaluate_states(circ, x_train)
-    s_test = evaluate_states(circ, x_test)
+    states = evaluate_states(circ, np.concatenate([x_train, x_test]))
+    s_train, s_test = states[: len(x_train)], states[len(x_train) :]
     k_train, k_test = ((s.conj() @ s_train.T).real for s in (s_train, s_test))
     classifier = svm.fit(k_train, data.y_train, data.svm_config)
     return circ, classifier, svm.accuracy(svm.predict(classifier, k_test), data.y_test)

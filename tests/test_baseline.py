@@ -81,13 +81,11 @@ class TestTrain:
         model = train(x, y, lr=0.01, epochs=100, seed=0)
         assert evaluate(model, x, y) >= 0.95
 
-    def test_zero_learning_rate_keeps_parameters(self):
+    def test_zero_learning_rate_rejected(self):
         rng = np.random.default_rng(13)
         x, y = blobs(rng, n_per_class=10)
-        reference = init_model(2, seed=4)
-        model = train(x, y, lr=0.0, epochs=10, seed=4)
-        for name in ("w1", "b1", "w2", "b2"):
-            assert np.array_equal(getattr(model, name), getattr(reference, name))
+        with pytest.raises(ValueError, match="baseline_lr"):
+            train(x, y, lr=0.0, epochs=10, seed=4)
 
     @pytest.mark.parametrize("lr", [0.01, 0.001])
     def test_loss_decreases_over_first_epochs(self, lr):

@@ -5,6 +5,7 @@ import pytest
 
 from qkevolve.cli import (
     ConfigError,
+    RunConfig,
     _individual_record,
     bilinear_resize,
     load_image_dataset,
@@ -78,6 +79,28 @@ def small_run_config(tmp_path, dataset, out_name="out", **overrides):
     return write_config(tmp_path / f"{out_name}.cfg", **kv)
 
 
+# One out-of-range value per case, under its config-file key. A run must
+# reject each one, whether the config is parsed from a file or built in code.
+OUT_OF_RANGE = [
+    ("mu", 0),
+    ("lambda", 0),
+    ("svm_c", 0),
+    ("svm_tol", 0),
+    ("svm_max_passes", 0),
+    ("qubits", 0),
+    ("p_gen", 1.5),
+    ("generations", 0),
+    ("patience", -1),
+    ("test_fraction", 0),
+    ("test_fraction", 1.0),
+    ("baseline_epochs", 0),
+    ("baseline_lr", -0.5),
+    ("baseline_lr", 0),
+    ("image_size", 0),
+    ("seed", -1),
+]
+
+
 class TestConfigParsing:
     def test_round_trips_values(self, tmp_path):
         dataset = make_image_tree(tmp_path / "data")
@@ -116,26 +139,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="mode"):
             parse_config_file(path)
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("mu", 0),
-            ("lambda", 0),
-            ("svm_c", 0),
-            ("svm_tol", 0),
-            ("svm_max_passes", 0),
-            ("qubits", 0),
-            ("p_gen", 1.5),
-            ("generations", 0),
-            ("patience", -1),
-            ("test_fraction", 0),
-            ("test_fraction", 1.0),
-            ("baseline_epochs", 0),
-            ("baseline_lr", -0.5),
-            ("image_size", 0),
-            ("seed", -1),
-        ],
-    )
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
     def test_out_of_range_value_rejected_before_loading(self, tmp_path, key, value):
         path = write_config(
             tmp_path / "c.cfg", mode="pca", dataset=tmp_path, output_dir=tmp_path, **{key: value}
@@ -143,6 +147,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as excinfo:
             parse_config_file(path)
         assert excinfo.value.code == "config-value"
+
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE + [("mode", "magic")])
+    def test_out_of_range_value_rejected_when_built_in_code(self, tmp_path, key, value):
+        kwargs = dict(mode="pca", dataset=tmp_path, output_dir=tmp_path)
+        kwargs["lambda_" if key == "lambda" else key] = value
+        with pytest.raises(ValueError):
+            RunConfig(**kwargs)
 
 
 class TestPgm:
@@ -340,13 +351,6 @@ class TestPipeline:
         parsed = json.loads(err[-1])
         assert parsed["error"] == "dataset-width"
         assert "63" in parsed["detail"]
-
-    def test_threads_env_must_be_positive_int(self, tmp_path, monkeypatch):
-        dataset = make_image_tree(tmp_path / "data")
-        config = parse_config_file(small_run_config(tmp_path, dataset))
-        monkeypatch.setenv("QKEVOLVE_THREADS", "zero")
-        with pytest.raises(ConfigError, match="QKEVOLVE_THREADS"):
-            run_pipeline(config)
 
 
 class TestCommands:

@@ -152,6 +152,21 @@ class TestEvaluateFitness:
         assert fitness.accuracy == 0.0
         assert any("worst-case" in r.message for r in caplog.records)
 
+    def test_one_simulation_covers_train_and_test(self, tiny_sep_dataset, monkeypatch):
+        calls = []
+        real = evolve.evaluate_states
+
+        def counting(circuit, xs):
+            calls.append(len(xs))
+            return real(circuit, xs)
+
+        monkeypatch.setattr(evolve, "evaluate_states", counting)
+        x, y01 = tiny_sep_dataset
+        data = make_eval_data(x, y01)
+        bits = np.random.default_rng(8).integers(0, 2, 14, dtype=np.uint8)
+        evaluate_fitness(Individual(bits=bits), data, TINY_CONFIG)
+        assert calls == [len(data.x_train) + len(data.x_test)]
+
 
 class TestPcaInputs:
     @pytest.mark.parametrize("n_samples", [200, 40])
