@@ -316,8 +316,9 @@ def prepare_data(config: RunConfig) -> PreparedData:
     train_idx, test_idx = stratified_split(
         dataset.rows, dataset.labels, config.test_fraction, config.seed
     )
-    params = standardize_fit(dataset.rows[train_idx])
-    x_train = standardize_apply(params, dataset.rows[train_idx])
+    train_rows = dataset.rows[train_idx]
+    params = standardize_fit(train_rows)
+    x_train = standardize_apply(params, train_rows)
     x_test = standardize_apply(params, dataset.rows[test_idx])
     y01_train = dataset.labels[train_idx]
     y01_test = dataset.labels[test_idx]

@@ -141,8 +141,11 @@ def train_individual(
     score it on the held-out rows. Raises what the SVM and PCA guards raise."""
     _, circ, x_train, x_test = compile_individual(bits, data, config)
     states = evaluate_states(circ, np.concatenate([x_train, x_test]))
-    s_train, s_test = states[: len(x_train)], states[len(x_train) :]
-    k_train, k_test = ((s.conj() @ s_train.T).real for s in (s_train, s_test))
+    # Re<s|s'> = <Re s, Re s'> + <Im s, Im s'>: one real product per block,
+    # and numpy forms f_train @ f_train.T as a bitwise-symmetric rank-k update.
+    features = np.concatenate([states.real, states.imag], axis=1)
+    f_train, f_test = features[: len(x_train)], features[len(x_train) :]
+    k_train, k_test = f_train @ f_train.T, f_test @ f_train.T
     classifier = svm.fit(k_train, data.y_train, data.svm_config)
     return circ, classifier, svm.accuracy(svm.predict(classifier, k_test), data.y_test)
 

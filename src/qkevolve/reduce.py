@@ -1,5 +1,7 @@
-"""Feature preprocessing: [-1, 1] standardization, SVD-based PCA, stratified
-train/test splitting and ingestion of externally computed feature files.
+"""Feature preprocessing: [-1, 1] standardization, PCA from the
+eigendecomposition of the smaller Gram matrix of the centered training rows,
+stratified train/test splitting and ingestion of externally computed feature
+files.
 
 Everything here is fitted on training rows only; test rows pass through the
 fitted transforms unchanged (standardized test values may leave [-1, 1], and
@@ -55,7 +57,16 @@ class PcaModel:
 
 
 def pca_fit(train: np.ndarray, r: int) -> PcaModel:
-    """Top-r principal directions of the centered training rows via SVD.
+    """Top-r principal directions of the centered training rows C (n x d),
+    from the eigendecomposition of the smaller Gram matrix.
+
+    With n <= d that is C C^T (n x n), and component k is v_k^T C / sqrt(l_k)
+    for its k-th largest eigenpair (v_k, l_k), the "snapshot" form of PCA
+    (Turk & Pentland, 1991); otherwise it is the k-th eigenvector of C^T C
+    (d x d). Rows are centered through the first row, so a feature that is
+    constant over the training rows centers to exact zeros. A component whose
+    training variance is numerically zero, l_k <= n * eps * l_1 (which covers
+    l_1 = 0), comes back as a zero row, with one warning giving the count.
 
     A requested r outside [1, min(n-1, d)] is clamped (with a log line) rather
     than rejected, because evolved individuals may ask for more components
@@ -71,13 +82,27 @@ def pca_fit(train: np.ndarray, r: int) -> PcaModel:
     r_eff = int(min(max(1, r), r_max))
     if r_eff != r:
         log.warning("clamped PCA components from %d to %d (n=%d, d=%d)", r, r_eff, n, d)
-    mean = train.mean(axis=0)
-    centered = train - mean
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    components = vt[:r_eff]
+    centered = train - train[0]
+    shift = centered.mean(axis=0)
+    centered -= shift
+    snapshot = n <= d
+    eigvals, eigvecs = np.linalg.eigh(centered @ centered.T if snapshot else centered.T @ centered)
+    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
+    null = eigvals[:r_eff] <= n * np.finfo(float).eps * eigvals[0]
+    if null.any():
+        log.warning("%d of %d PCA components have zero training variance", null.sum(), r_eff)
+    if snapshot:
+        # All r_max components are projected and then cut to r_eff: the BLAS may
+        # block a product differently by its row count, and projecting them all
+        # keeps a fit at r the leading rows of any larger fit, byte for byte.
+        projected = (eigvecs[:, :r_max].T @ centered)[:r_eff]
+        components = projected / np.sqrt(np.where(null, 1.0, eigvals[:r_eff]))[:, None]
+    else:
+        components = eigvecs[:, :r_eff].T
+    components[null] = 0.0
     flip = np.where(components[np.arange(r_eff), np.abs(components).argmax(axis=1)] < 0, -1.0, 1.0)
     components = components * flip[:, None]
-    return PcaModel(mean=mean, components=components)
+    return PcaModel(mean=train[0] + shift, components=components)
 
 
 def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:

@@ -22,10 +22,16 @@ def make_eval_data(x, y01, seed=0, test_fraction=0.25, svm_config=None):
 
 
 def gram(circ, rows, cols=None):
-    """Re<Phi(row_i)|Phi(col_j)>, formed as the evaluation path forms it."""
-    s_rows = evaluate_states(circ, rows)
-    s_cols = s_rows if cols is None else evaluate_states(circ, cols)
-    return (s_rows.conj() @ s_cols.T).real
+    """Re<Phi(row_i)|Phi(col_j)>, formed as the evaluation path forms it: one
+    real product of the stacked [Re, Im] amplitudes."""
+
+    def features(xs):
+        states = evaluate_states(circ, xs)
+        return np.concatenate([states.real, states.imag], axis=1)
+
+    f_rows = features(rows)
+    f_cols = f_rows if cols is None else features(cols)
+    return f_rows @ f_cols.T
 
 
 def random_genome(rng, m, n, mode=EncodingMode.FIXED_FEATURES):

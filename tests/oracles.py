@@ -6,8 +6,10 @@ circuits one gate at a time as dense 2^M x 2^M matrices on the full state
 instead of fused blocks on qubit clusters, kernels of CNOT-free circuits as
 products of per-qubit inner products, the SVM dual via exhaustive active-set
 enumeration instead of pairwise updates, domination fronts via repeated peeling, gradients via central
-differences, and bilinear resampling via a scalar loop. `reference_fit` is the
-SVM solver before its allocation-free rewrite, kept as a bit-exact reference.
+differences, bilinear resampling via a scalar loop, and PCA via a thin SVD of
+the centered rows instead of the eigendecomposition of their smaller Gram.
+`reference_fit` is the SVM solver before its allocation-free rewrite, kept as
+a bit-exact reference.
 
 Two single-point helpers that only tests use live here too: the SVM decision
 value of one kernel row and the MLP's class probabilities for one input.
@@ -20,6 +22,7 @@ import itertools
 import numpy as np
 
 from qkevolve.genome import ROTATION_AXIS, GateKind
+from qkevolve.reduce import PcaModel
 from qkevolve.svm import PSD_ABORT_TOL, PSD_CLAMP_TOL, SUPPORT_TOL, SvmConfig, TrainedQSVM
 
 CNOT_MATRIX = np.array(
@@ -259,6 +262,21 @@ def bilinear_reference(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
             bot = img[y1, x0] * (1 - fx) + img[y1, x1] * fx
             out[r, col] = top * (1 - fy) + bot * fy
     return out
+
+
+def svd_pca(train: np.ndarray, r: int) -> PcaModel:
+    """Top-r principal directions from the thin SVD of the centered rows, with
+    `pca_fit`'s clamp to [1, min(n-1, d)] and its sign rule (largest-magnitude
+    loading positive). Directions of zero variance are whatever the SVD
+    returns for the null space."""
+    train = np.atleast_2d(np.asarray(train, dtype=float))
+    n, d = train.shape
+    r_eff = int(min(max(1, r), n - 1, d))
+    mean = train.mean(axis=0)
+    _, _, vt = np.linalg.svd(train - mean, full_matrices=False)
+    components = vt[:r_eff]
+    flip = np.where(components[np.arange(r_eff), np.abs(components).argmax(axis=1)] < 0, -1.0, 1.0)
+    return PcaModel(mean=mean, components=components * flip[:, None])
 
 
 def forward(model, x: np.ndarray) -> np.ndarray:

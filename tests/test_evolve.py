@@ -22,7 +22,8 @@ from qkevolve.evolve import (
     update_archive,
     worst_case_complexity,
 )
-from qkevolve.genome import EncodingMode, genome_length
+from qkevolve.circuit import evaluate_states
+from qkevolve.genome import GATE_BITS, HEADER_BITS, EncodingMode, genome_length, random_bits
 from qkevolve.reduce import pca_fit, pca_transform
 
 from conftest import make_eval_data
@@ -166,6 +167,47 @@ class TestEvaluateFitness:
         bits = np.random.default_rng(8).integers(0, 2, 14, dtype=np.uint8)
         evaluate_fitness(Individual(bits=bits), data, TINY_CONFIG)
         assert calls == [len(data.x_train) + len(data.x_test)]
+
+
+class TestGramBlocks:
+    def test_blocks_are_the_real_part_of_the_complex_gram(self, two_gauss_dataset, monkeypatch):
+        # 150 training rows and 6 qubits: at this size the complex product
+        # S* S^T comes out bitwise asymmetric
+        data = make_eval_data(*two_gauss_dataset)
+        blocks = []
+        real_fit, real_predict = evolve.svm.fit, evolve.svm.predict
+
+        def spy_fit(k, y, config):
+            blocks.append([k])
+            return real_fit(k, y, config)
+
+        def spy_predict(model, k):
+            blocks[-1].append(k)
+            return real_predict(model, k)
+
+        monkeypatch.setattr(evolve.svm, "fit", spy_fit)
+        monkeypatch.setattr(evolve.svm, "predict", spy_predict)
+        rng = np.random.default_rng(53)
+        kinds = set()
+        modes = ((EncodingMode.FIXED_FEATURES, 0), (EncodingMode.PCA_HEADER, HEADER_BITS))
+        for mode, offset in modes:
+            config = GaConfig(m_qubits=6, n_layers=4, mode=mode)
+            for _ in range(6):
+                bits = random_bits(genome_length(6, 4, mode), rng)
+                genes = bits[offset:].reshape(-1, GATE_BITS).copy()
+                genes[(genes[:, :3] == (1, 0, 1)).all(axis=1), :3] = (1, 0, 0)  # CNOT -> identity
+                for variant in (bits, np.concatenate([bits[:offset], genes.ravel()])):
+                    _, circ, x_train, x_test = evolve.compile_individual(variant, data, config)
+                    evolve.train_individual(variant, data, config)
+                    k_train, k_test = blocks[-1]
+                    assert np.array_equal(k_train, k_train.T)
+                    s_train, s_test = evaluate_states(circ, x_train), evaluate_states(circ, x_test)
+                    for got, s in ((k_train, s_train), (k_test, s_test)):
+                        want = (s.conj() @ s_train.T).real
+                        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+                    kinds.add((mode, circ.census.n_cnot == 0))
+        assert len(blocks) == 24
+        assert kinds == {(m, free) for m in EncodingMode for free in (False, True)}
 
 
 class TestPcaInputs:

@@ -13,6 +13,8 @@ from qkevolve.reduce import (
     stratified_split,
 )
 
+from oracles import svd_pca
+
 
 class TestStandardize:
     def test_training_extremes_map_to_unit_interval(self):
@@ -110,6 +112,73 @@ class TestPca:
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
             pca_fit(np.ones((1, 4)), 1)
+
+
+# Both sides of the Gram eigendecomposition: n <= d takes C C^T, n > d takes C^T C.
+SHAPES = [(40, 500), (60, 8)]
+
+
+class TestPcaAgainstSvd:
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_scores_match_svd_oracle(self, n, d):
+        rng = np.random.default_rng(37)
+        train = rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, size=d)
+        held_out = rng.normal(size=(10, d))
+        model = pca_fit(train, n - 1)
+        oracle = svd_pca(train, n - 1)
+        for x in (train, held_out):
+            np.testing.assert_allclose(
+                pca_transform(model, x), pca_transform(oracle, x), rtol=0, atol=1e-10
+            )
+
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_components_orthonormal(self, n, d):
+        rng = np.random.default_rng(43)
+        r = min(n - 1, d)
+        components = pca_fit(rng.normal(size=(n, d)), r).components
+        np.testing.assert_allclose(components @ components.T, np.eye(r), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_slices_equal_refits_byte_for_byte(self, n, d):
+        rng = np.random.default_rng(47)
+        train = rng.normal(size=(n, d))
+        full = pca_fit(train, min(n - 1, d))
+        for r in (1, 2, 5, min(n - 1, d)):
+            refit = pca_fit(train, r)
+            assert pca_slice(full, r).components.tobytes() == refit.components.tobytes()
+            assert full.mean.tobytes() == refit.mean.tobytes()
+
+    @pytest.mark.parametrize(
+        "case",
+        ["duplicated-wide", "duplicated-tall", "constant-wide", "constant-tall"],
+    )
+    def test_zero_variance_components_are_zero_rows(self, case, caplog):
+        rng = np.random.default_rng(41)
+        n, d = (40, 500) if case.endswith("wide") else (60, 8)
+        if case.startswith("duplicated"):
+            # four distinct rows repeated, plus two rows constant across features
+            train = rng.normal(size=(4, d))[np.arange(n) % 4]
+            train[:2] = rng.normal(size=(2, 1))
+        else:
+            train = np.full((n, d), 0.1)  # its mean is not exactly 0.1 in floating point
+        rank = np.linalg.matrix_rank(train - train[0])
+        r = min(n - 1, d)
+        model = pca_fit(train, r)
+        assert np.isfinite(model.components).all()
+        assert not model.components[rank:].any()
+        kept = model.components[:rank]
+        np.testing.assert_allclose(kept @ kept.T, np.eye(rank), rtol=0, atol=1e-10)
+        if rank:
+            np.testing.assert_allclose(
+                pca_transform(model, train)[:, :rank],
+                pca_transform(svd_pca(train, rank), train),
+                rtol=0,
+                atol=1e-10,
+            )
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert [m for m in messages if "zero training variance" in m] == [
+            f"{r - rank} of {r} PCA components have zero training variance"
+        ]
 
 
 class TestStratifiedSplit:
