@@ -26,6 +26,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import baseline as baseline_mod
+from . import evolve
 from .circuit import build_feature_map, complexity, diagram
 from .evolve import (
     EvalData,
@@ -258,31 +259,36 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def load_image_dataset(root, image_size: int = 250) -> FeatureMatrix:
     """Load a two-class grayscale image tree: one subdirectory per class,
     labels 0/1 assigned by lexicographic directory order. Every image is
-    resized to image_size x image_size and flattened row-major; unreadable
-    files are skipped with a warning."""
+    resized to image_size x image_size and flattened row-major into one
+    preallocated (files x d) matrix; unreadable files are skipped with a
+    warning, and the matrix is then cut to the readable rows."""
     root = Path(root)
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if len(class_dirs) != 2:
         raise ValueError(f"{root}: expected exactly 2 class subdirectories, found {len(class_dirs)}")
-    rows, labels = [], []
-    skipped = 0
-    for label, class_dir in enumerate(class_dirs):
-        loaded = 0
-        for file in sorted(p for p in class_dir.iterdir() if p.is_file()):
+    class_files = [sorted(p for p in class_dir.iterdir() if p.is_file()) for class_dir in class_dirs]
+    n_files = sum(len(files) for files in class_files)
+    rows = np.empty((n_files, image_size * image_size))
+    labels = np.empty(n_files, dtype=int)
+    n = 0
+    for label, (class_dir, files) in enumerate(zip(class_dirs, class_files)):
+        first = n
+        for file in files:
             try:
                 img = _load_image(file)
             except (ValueError, OSError) as exc:
-                skipped += 1
                 log.warning("skipping unreadable image %s: %s", file, exc)
                 continue
-            rows.append(bilinear_resize(img, image_size, image_size).ravel())
-            labels.append(label)
-            loaded += 1
-        if loaded == 0:
+            rows[n] = bilinear_resize(img, image_size, image_size).ravel()
+            labels[n] = label
+            n += 1
+        if n == first:
             raise ValueError(f"{class_dir}: class has no readable images")
-    if skipped:
-        log.warning("skipped %d unreadable images under %s", skipped, root)
-    return FeatureMatrix(rows=np.asarray(rows), labels=np.asarray(labels, dtype=int))
+    if n < n_files:
+        log.warning("skipped %d unreadable images under %s", n_files - n, root)
+        # a copy, so the full (files x d) buffer is freed rather than kept as a base
+        rows, labels = rows[:n].copy(), labels[:n].copy()
+    return FeatureMatrix(rows=rows, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +306,10 @@ class PreparedData:
 
 
 def prepare_data(config: RunConfig) -> PreparedData:
+    """Ingest, split and standardize on the training rows. In PCA mode the
+    standardized blocks are then projected once onto the most components a
+    header can request, and only those scores are kept. Each full-size
+    matrix is dropped as soon as the next step no longer needs it."""
     if config.mode == "pca":
         dataset = load_image_dataset(config.dataset, config.image_size)
     else:
@@ -313,16 +323,21 @@ def prepare_data(config: RunConfig) -> PreparedData:
                 f"external feature files must have exactly {EXTERNAL_FEATURE_DIM} feature "
                 f"columns, found {dataset.rows.shape[1]}",
             )
-    train_idx, test_idx = stratified_split(
-        dataset.rows, dataset.labels, config.test_fraction, config.seed
-    )
-    train_rows = dataset.rows[train_idx]
+    labels = dataset.labels
+    train_idx, test_idx = stratified_split(dataset.rows, labels, config.test_fraction, config.seed)
+    train_rows, test_rows = dataset.rows[train_idx], dataset.rows[test_idx]
+    del dataset
     params = standardize_fit(train_rows)
     x_train = standardize_apply(params, train_rows)
-    x_test = standardize_apply(params, dataset.rows[test_idx])
-    y01_train = dataset.labels[train_idx]
-    y01_test = dataset.labels[test_idx]
-    classes, counts = np.unique(dataset.labels, return_counts=True)
+    del train_rows
+    x_test = standardize_apply(params, test_rows)
+    del test_rows
+    pca_scores = config.mode == "pca"
+    if pca_scores:
+        x_train, x_test = evolve.project_pca(x_train, x_test)
+    y01_train = labels[train_idx]
+    y01_test = labels[test_idx]
+    classes, counts = np.unique(labels, return_counts=True)
     return PreparedData(
         eval_data=EvalData(
             x_train=x_train,
@@ -330,6 +345,7 @@ def prepare_data(config: RunConfig) -> PreparedData:
             x_test=x_test,
             y_test=y01_test * 2 - 1,
             svm_config=config.svm_config(),
+            pca_scores=pca_scores,
         ),
         labels01_train=y01_train,
         labels01_test=y01_test,
@@ -353,11 +369,14 @@ def _individual_record(ind, config: RunConfig, prepared: PreparedData) -> dict:
 
 
 def run_baseline(config: RunConfig, prepared: PreparedData) -> dict:
-    """PCA(64) + MLP comparison on the same split, standardization and PCA
-    scores as the run; the component count is clamped when the training set
-    is too small for 64."""
+    """PCA(64) + MLP comparison on the same split and standardization as the
+    run; the component count is clamped when the training set is too small
+    for 64. In PCA mode it reads the run's scores; on external features it
+    fits its own PCA, the only caller there that needs one."""
     data = prepared.eval_data
-    x_train, x_test = data.pca_inputs(EXTERNAL_FEATURE_DIM)
+    x_train, x_test = data.x_train, data.x_test
+    if not data.pca_scores:
+        x_train, x_test = evolve.project_pca(x_train, x_test)
     model = baseline_mod.train(
         x_train,
         prepared.labels01_train,

@@ -6,8 +6,9 @@ complexity C together with the achieved accuracy so that neither objective
 starves the other. Accuracy is maximized, O_B minimized; raw C is carried
 along for reporting.
 
-Evaluation of one individual is fully deterministic (the SVM solver, PCA and
-the simulator use no randomness), so offspring within a generation can be
+Evaluation of one individual is fully deterministic (the SVM solver and the
+simulator use no randomness) and only reads the shared `EvalData`, whose PCA
+scores are computed before the run, so offspring within a generation can be
 evaluated on any number of threads with schedule-independent results. All
 variation randomness is drawn from per-generation streams derived from
 (seed, generation).
@@ -16,7 +17,6 @@ variation randomness is drawn from per-generation streams derived from
 from __future__ import annotations
 
 import logging
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -35,6 +35,8 @@ from .genome import (
 )
 # pca_slice is not called here; it stays importable as evolve.pca_slice only
 # because the benchmark traces that name, and can go with its trace target.
+# pca_fit and pca_transform are called through this module's names from
+# `project_pca`, which is where the benchmark traces them.
 from .reduce import pca_fit, pca_slice, pca_transform  # noqa: F401
 from .svm import SvmConfig
 
@@ -94,43 +96,50 @@ class GaConfig:
 @dataclass
 class EvalData:
     """Prepared dataset shared by every fitness evaluation: already split,
-    standardized, with labels in {-1, +1}. In PCA mode, train and test are
-    projected once onto the most components a header can request (at most
-    n_train - 1); each count then slices leading columns, which matches a
-    refit at that count up to rounding in the projection sums."""
+    standardized, with labels in {-1, +1}. With `pca_scores` set, x_train
+    and x_test are the rows' scores from `project_pca`, on the most
+    components a header can request; a header asking for r components reads
+    their leading min(r, r_max) columns. Without it they are the fixed
+    features. Only PCA-header configs run on scores, and only fixed-feature
+    configs on features."""
 
     x_train: np.ndarray
     y_train: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
     svm_config: SvmConfig = field(default_factory=SvmConfig)
-    _pca_scores: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
-    _pca_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
+    pca_scores: bool = False
 
-    def pca_inputs(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the train and test scores on the leading min(r, r_max)
-        components, for r >= 1. Thread-safe."""
-        with self._pca_lock:
-            if self._pca_scores is None:
-                n, d = self.x_train.shape
-                model = pca_fit(self.x_train, min(n - 1, d, MAX_PCA_COMPONENTS))
-                self._pca_scores = (pca_transform(model, self.x_train), pca_transform(model, self.x_test))
-        train, test = self._pca_scores
-        return train[:, :r], test[:, :r]
+
+def project_pca(x_train: np.ndarray, x_test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fit PCA on the training rows once, at r_max = min(n_train - 1, d, 64)
+    components, and return the train and test scores. Each count r then
+    slices the leading r columns, which matches a refit at r up to rounding
+    in the projection sums."""
+    n, d = x_train.shape
+    model = pca_fit(x_train, min(n - 1, d, MAX_PCA_COMPONENTS))
+    return pca_transform(model, x_train), pca_transform(model, x_test)
 
 
 def compile_individual(
     bits, data: EvalData, config: GaConfig
 ) -> tuple[CircuitGenome, FeatureMapCircuit, np.ndarray, np.ndarray]:
     """Decode a bitstring and build the circuit it is scored with, together
-    with its train and test inputs: the leading principal components its
-    header asks for (clamped as `EvalData.pca_inputs` does), or the fixed
-    features without a header."""
+    with its train and test inputs: the leading principal-component scores
+    its header asks for, or the fixed features without a header.
+
+    Raises TypeError when the config's mode and the data disagree (a header
+    config on features, or a fixed-feature config on scores): that is a
+    programming error, so `evaluate_fitness` does not absorb it."""
+    if (config.mode is EncodingMode.PCA_HEADER) != data.pca_scores:
+        raise TypeError(
+            f"{config.mode.value} config run on "
+            f"{'PCA scores' if data.pca_scores else 'unprojected features'}"
+        )
     genome = decode_genome(bits, config.m_qubits, config.n_layers, config.mode)
-    if genome.pca_components is None:
-        x_train, x_test = data.x_train, data.x_test
-    else:
-        x_train, x_test = data.pca_inputs(genome.pca_components)
+    x_train, x_test = data.x_train, data.x_test
+    if genome.pca_components is not None:
+        x_train, x_test = x_train[:, : genome.pca_components], x_test[:, : genome.pca_components]
     return genome, build_feature_map(genome, x_train.shape[1]), x_train, x_test
 
 
@@ -138,7 +147,8 @@ def train_individual(
     bits, data: EvalData, config: GaConfig
 ) -> tuple[FeatureMapCircuit, svm.TrainedQSVM, float]:
     """Simulate the compiled circuit, train the QSVM on its Gram matrix and
-    score it on the held-out rows. Raises what the SVM and PCA guards raise."""
+    score it on the held-out rows. Raises what `compile_individual` and the
+    SVM guards raise."""
     _, circ, x_train, x_test = compile_individual(bits, data, config)
     states = evaluate_states(circ, np.concatenate([x_train, x_test]))
     # Re<s|s'> = <Re s, Re s'> + <Im s, Im s'>: one real product per block,
@@ -167,9 +177,10 @@ def evaluate_fitness(ind: Individual, data: EvalData, config: GaConfig) -> Fitne
 
     The expected failures are absorbed into a worst-case fitness (accuracy 0,
     complexity of a full grid) so a long evolution never halts on one bad
-    individual: ValueError (numpy's LinAlgError among them) from the SVM and
-    PCA guards, and RuntimeError from the SVM's PSD abort. Any other exception
-    is a programming error and propagates.
+    individual: ValueError (numpy's LinAlgError among them) from the SVM
+    guards, and RuntimeError from the SVM's PSD abort. Any other exception,
+    among them the TypeError of a config run on data of the other mode, is a
+    programming error and propagates.
     """
     try:
         circ, _, acc = train_individual(ind.bits, data, config)

@@ -42,12 +42,18 @@ def standardize_fit(train: np.ndarray) -> StandardizationParams:
 
 def standardize_apply(params: StandardizationParams, x: np.ndarray) -> np.ndarray:
     """Affine map sending the fitted per-feature [min, max] onto [-1, 1];
-    constant features map to 0."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    constant features map to 0. The steps of 2 (x - min) / span - 1 run in
+    place on one output buffer, in that order, so the result is that
+    expression's bit for bit with no full-size temporary; `x` is not
+    modified."""
+    x = np.atleast_2d(x)
     span = params.feature_max - params.feature_min
-    safe = np.where(span > 0, span, 1.0)
-    out = 2.0 * (x - params.feature_min) / safe - 1.0
-    return np.where(span > 0, out, 0.0)
+    out = np.subtract(x, params.feature_min, dtype=float)
+    out *= 2.0
+    out /= np.where(span > 0, span, 1.0)
+    out -= 1.0
+    out[:, ~(span > 0)] = 0.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -95,14 +101,17 @@ def pca_fit(train: np.ndarray, r: int) -> PcaModel:
         # All r_max components are projected and then cut to r_eff: the BLAS may
         # block a product differently by its row count, and projecting them all
         # keeps a fit at r the leading rows of any larger fit, byte for byte.
-        projected = (eigvecs[:, :r_max].T @ centered)[:r_eff]
-        components = projected / np.sqrt(np.where(null, 1.0, eigvals[:r_eff]))[:, None]
+        components = (eigvecs[:, :r_max].T @ centered)[:r_eff]
+        del centered  # freed before the compact copy below
+        components /= np.sqrt(np.where(null, 1.0, eigvals[:r_eff]))[:, None]
     else:
         components = eigvecs[:, :r_eff].T
     components[null] = 0.0
     flip = np.where(components[np.arange(r_eff), np.abs(components).argmax(axis=1)] < 0, -1.0, 1.0)
-    components = components * flip[:, None]
-    return PcaModel(mean=train[0] + shift, components=components)
+    components *= flip[:, None]
+    # A compact copy, so the model does not keep the r_max-row projection (or
+    # the full eigenvector matrix) alive through a view.
+    return PcaModel(mean=train[0] + shift, components=components.copy(order="K"))
 
 
 def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:

@@ -2,21 +2,28 @@ import numpy as np
 import pytest
 
 from qkevolve.circuit import evaluate_states
-from qkevolve.evolve import EvalData
+from qkevolve.evolve import EvalData, project_pca
 from qkevolve.genome import EncodingMode, decode_genome, genome_length, random_bits
 from qkevolve.reduce import standardize_apply, standardize_fit, stratified_split
 
 
-def make_eval_data(x, y01, seed=0, test_fraction=0.25, svm_config=None):
-    """Split, standardize on train and wrap into EvalData with +-1 labels."""
+def make_eval_data(x, y01, seed=0, test_fraction=0.25, svm_config=None, pca=False):
+    """Split, standardize on train and wrap into EvalData with +-1 labels;
+    with `pca`, project both blocks through `project_pca` as `prepare_data`
+    does, for PCA-header configs."""
     train_idx, test_idx = stratified_split(x, y01, test_fraction, seed)
     params = standardize_fit(x[train_idx])
+    x_train = standardize_apply(params, x[train_idx])
+    x_test = standardize_apply(params, x[test_idx])
+    if pca:
+        x_train, x_test = project_pca(x_train, x_test)
     kwargs = {} if svm_config is None else {"svm_config": svm_config}
     return EvalData(
-        x_train=standardize_apply(params, x[train_idx]),
+        x_train=x_train,
         y_train=y01[train_idx] * 2 - 1,
-        x_test=standardize_apply(params, x[test_idx]),
+        x_test=x_test,
         y_test=y01[test_idx] * 2 - 1,
+        pca_scores=pca,
         **kwargs,
     )
 

@@ -9,7 +9,8 @@ enumeration instead of pairwise updates, domination fronts via repeated peeling,
 differences, bilinear resampling via a scalar loop, and PCA via a thin SVD of
 the centered rows instead of the eigendecomposition of their smaller Gram.
 `reference_fit` is the SVM solver before its allocation-free rewrite, kept as
-a bit-exact reference.
+a bit-exact reference, and `reference_standardize_apply` is the same for the
+standardization before its in-place rewrite.
 
 Two single-point helpers that only tests use live here too: the SVM decision
 value of one kernel row and the MLP's class probabilities for one input.
@@ -22,7 +23,7 @@ import itertools
 import numpy as np
 
 from qkevolve.genome import ROTATION_AXIS, GateKind
-from qkevolve.reduce import PcaModel
+from qkevolve.reduce import PcaModel, StandardizationParams
 from qkevolve.svm import PSD_ABORT_TOL, PSD_CLAMP_TOL, SUPPORT_TOL, SvmConfig, TrainedQSVM
 
 CNOT_MATRIX = np.array(
@@ -262,6 +263,16 @@ def bilinear_reference(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
             bot = img[y1, x0] * (1 - fx) + img[y1, x1] * fx
             out[r, col] = top * (1 - fy) + bot * fy
     return out
+
+
+def reference_standardize_apply(params: StandardizationParams, x: np.ndarray) -> np.ndarray:
+    """`standardize_apply` as one expression with full-size temporaries, the
+    bit-exact reference for its in-place steps."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    span = params.feature_max - params.feature_min
+    safe = np.where(span > 0, span, 1.0)
+    out = 2.0 * (x - params.feature_min) / safe - 1.0
+    return np.where(span > 0, out, 0.0)
 
 
 def svd_pca(train: np.ndarray, r: int) -> PcaModel:

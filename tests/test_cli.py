@@ -1,12 +1,16 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qkevolve import evolve
 from qkevolve.cli import (
     ConfigError,
     RunConfig,
     _individual_record,
+    _load_image,
     bilinear_resize,
     load_image_dataset,
     main,
@@ -231,10 +235,22 @@ class TestLoadImageDataset:
 
     def test_unreadable_file_skipped_with_warning(self, tmp_path, caplog):
         root = make_image_tree(tmp_path / "imgs", per_class=3, size=6)
-        (root / "a_negative" / "broken.pgm").write_bytes(b"NOTPGM")
-        fm = load_image_dataset(root, image_size=6)
-        assert fm.rows.shape[0] == 6
+        (root / "a_negative" / "img01_broken.pgm").write_bytes(b"NOTPGM")  # mid-class
+        fm = load_image_dataset(root, image_size=5)
+        assert fm.rows.shape == (6, 25)
         assert any("skipping unreadable" in r.message for r in caplog.records)
+        readable = [
+            (label, path)
+            for label, name in enumerate(["a_negative", "b_positive"])
+            for path in sorted((root / name).iterdir())
+            if "broken" not in path.name
+        ]
+        assert fm.labels.tolist() == [label for label, _ in readable]
+        for row, (_, path) in zip(fm.rows, readable):
+            assert row.tobytes() == bilinear_resize(_load_image(path), 5, 5).ravel().tobytes()
+        # the trimmed rows own their memory: no (files x d) buffer stays alive as a base
+        assert fm.rows.base is None and fm.rows.flags.owndata
+        assert fm.labels.base is None
 
     def test_wrong_class_count_aborts(self, tmp_path):
         root = tmp_path / "one"
@@ -393,11 +409,89 @@ class TestCommands:
         assert (tmp_path / "bl" / "baseline.json").is_file()
 
 
+# tracemalloc peak of prepare_data on a 60-image PCA tree, as a multiple of the
+# pixel matrix's bytes. Measured: 2.57 with one ingest buffer, in-place
+# standardization and scores-only EvalData; 3.35 with a list of rows, the
+# expression-chain standardization and the pixel matrices kept in EvalData.
+SETUP_PEAK_BOUND = 3.0
+
+
+def arrays_reachable(obj, seen=None):
+    """Every numpy array reachable from obj through dataclass fields,
+    containers and array bases."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        if obj.base is not None:
+            yield from arrays_reachable(obj.base, seen)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from arrays_reachable(getattr(obj, f.name), seen)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from arrays_reachable(value, seen)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from arrays_reachable(value, seen)
+
+
 class TestPrepareData:
-    def test_standardization_fits_on_train_rows_only(self, tmp_path):
-        dataset = make_image_tree(tmp_path / "data")
+    def test_standardization_fits_on_train_rows_only(self, tmp_path, monkeypatch):
+        dataset = make_image_tree(tmp_path / "data")  # 12 training rows: r_max = 11
         config = parse_config_file(small_run_config(tmp_path, dataset))
+        fits = []
+        real_fit = evolve.pca_fit
+
+        def spy_fit(train, r):
+            fits.append((np.array(train, copy=True), r))
+            return real_fit(train, r)
+
+        monkeypatch.setattr(evolve, "pca_fit", spy_fit)
         prepared = prepare_data(config)
-        assert prepared.eval_data.x_train.min() >= -1.0
-        assert prepared.eval_data.x_train.max() <= 1.0
+        assert [r for _, r in fits] == [11]
+        (train, _), = fits
+        assert train.shape == (12, config.image_size**2)
+        assert train.min() >= -1.0
+        assert train.max() <= 1.0
+        varying = train.max(axis=0) > train.min(axis=0)
+        assert np.all(train.min(axis=0)[varying] == -1.0)
+        assert np.all(train.max(axis=0)[varying] == 1.0)
+        data = prepared.eval_data
+        assert data.pca_scores
+        assert data.x_train.shape == (12, 11) and data.x_test.shape == (4, 11)
         assert set(prepared.class_counts) == {0, 1}
+
+    def test_external_mode_keeps_features_and_fits_no_pca(
+        self, tmp_path, two_gauss_dataset, monkeypatch
+    ):
+        x, y01 = two_gauss_dataset
+        csv_path = tmp_path / "features.csv"
+        header = ",".join([f"f{i}" for i in range(64)] + ["label"])
+        rows = [",".join(str(v) for v in row) + f",{label}" for row, label in zip(x[:60], y01[:60])]
+        csv_path.write_text(header + "\n" + "\n".join(rows))
+        config = parse_config_file(small_run_config(tmp_path, csv_path, mode="external"))
+        fits = []
+        monkeypatch.setattr(evolve, "pca_fit", lambda *a: fits.append(a))
+        data = prepare_data(config).eval_data
+        assert fits == [] and not data.pca_scores
+        assert data.x_train.shape == (45, 64)
+        assert data.x_train.min() >= -1.0 and data.x_train.max() <= 1.0
+
+    def test_setup_memory_is_bounded_and_no_pixel_matrix_survives(self, tmp_path):
+        # 60 images of 64 x 64: the pixel matrix is 60 x 4096 float64
+        dataset = make_image_tree(tmp_path / "data", per_class=30, size=64)
+        config = parse_config_file(small_run_config(tmp_path, dataset, image_size=64))
+        pixel_bytes = 60 * 64 * 64 * 8
+        prepare_data(config)  # warm-up: imports and first-call caches
+        tracemalloc.start()
+        try:
+            prepared = prepare_data(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= SETUP_PEAK_BOUND * pixel_bytes, peak / pixel_bytes
+        d = 64 * 64
+        assert all(arr.ndim < 2 or arr.shape[1] != d for arr in arrays_reachable(prepared))

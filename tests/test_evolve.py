@@ -11,6 +11,7 @@ from qkevolve.evolve import (
     FitnessPair,
     GaConfig,
     Individual,
+    compile_individual,
     dominates,
     evaluate_fitness,
     fast_non_dominated_sort,
@@ -108,7 +109,7 @@ class TestEvaluateFitness:
 
     def test_pca_mode_uses_genome_component_count(self, two_gauss_dataset):
         x, y01 = two_gauss_dataset
-        data = make_eval_data(x, y01)
+        data = make_eval_data(x, y01, pca=True)
         config = GaConfig(m_qubits=1, n_layers=1, mode=EncodingMode.PCA_HEADER, seed=0)
         # header 000000 -> 1 component; gate Rx(x0 * pi/8)
         bits = bits_of("0000000" + "0000000")
@@ -173,7 +174,10 @@ class TestGramBlocks:
     def test_blocks_are_the_real_part_of_the_complex_gram(self, two_gauss_dataset, monkeypatch):
         # 150 training rows and 6 qubits: at this size the complex product
         # S* S^T comes out bitwise asymmetric
-        data = make_eval_data(*two_gauss_dataset)
+        data = {
+            mode: make_eval_data(*two_gauss_dataset, pca=mode is EncodingMode.PCA_HEADER)
+            for mode in EncodingMode
+        }
         blocks = []
         real_fit, real_predict = evolve.svm.fit, evolve.svm.predict
 
@@ -197,8 +201,9 @@ class TestGramBlocks:
                 genes = bits[offset:].reshape(-1, GATE_BITS).copy()
                 genes[(genes[:, :3] == (1, 0, 1)).all(axis=1), :3] = (1, 0, 0)  # CNOT -> identity
                 for variant in (bits, np.concatenate([bits[:offset], genes.ravel()])):
-                    _, circ, x_train, x_test = evolve.compile_individual(variant, data, config)
-                    evolve.train_individual(variant, data, config)
+                    compiled = evolve.compile_individual(variant, data[mode], config)
+                    _, circ, x_train, x_test = compiled
+                    evolve.train_individual(variant, data[mode], config)
                     k_train, k_test = blocks[-1]
                     assert np.array_equal(k_train, k_train.T)
                     s_train, s_test = evaluate_states(circ, x_train), evaluate_states(circ, x_test)
@@ -210,21 +215,30 @@ class TestGramBlocks:
         assert kinds == {(m, free) for m in EncodingMode for free in (False, True)}
 
 
+def header_bits(r, m_qubits=1, n_layers=1):
+    """A PCA-header bitstring asking for r components, over an identity grid."""
+    return bits_of(format(r - 1, "06b") + "0" + "1000000" * m_qubits * n_layers)
+
+
 class TestPcaInputs:
     @pytest.mark.parametrize("n_samples", [200, 40])
     def test_slices_match_refit_at_each_count(self, two_gauss_dataset, n_samples):
         x, y01 = two_gauss_dataset
-        data = make_eval_data(x[:n_samples], y01[:n_samples])
-        r_max = min(data.x_train.shape[0] - 1, data.x_train.shape[1], 64)
+        features = make_eval_data(x[:n_samples], y01[:n_samples])
+        data = make_eval_data(x[:n_samples], y01[:n_samples], pca=True)
+        r_max = min(features.x_train.shape[0] - 1, features.x_train.shape[1], 64)
+        assert data.x_train.shape[1] == data.x_test.shape[1] == r_max
+        config = GaConfig(m_qubits=1, n_layers=1, mode=EncodingMode.PCA_HEADER)
         counts = {1, r_max // 2, r_max} | ({64} if r_max < 64 else set())
         for r in sorted(counts):
-            x_train_r, x_test_r = data.pca_inputs(r)
-            model = pca_fit(data.x_train, r)
-            assert x_train_r.shape == (data.x_train.shape[0], min(r, r_max))
-            for got, x_full in ((x_train_r, data.x_train), (x_test_r, data.x_test)):
+            _, _, x_train_r, x_test_r = compile_individual(header_bits(r), data, config)
+            model = pca_fit(features.x_train, r)
+            assert x_train_r.shape == (features.x_train.shape[0], min(r, r_max))
+            for got, x_full in ((x_train_r, features.x_train), (x_test_r, features.x_test)):
                 np.testing.assert_allclose(got, pca_transform(model, x_full), rtol=0, atol=1e-10)
 
     # 60 samples leave 45 training rows, so the one fit asks for 44 components.
+    # It happens when the data are projected; the threaded run fits nothing.
     @pytest.mark.parametrize(
         "mode, expected_fits", [(EncodingMode.PCA_HEADER, [44]), (EncodingMode.FIXED_FEATURES, [])]
     )
@@ -232,7 +246,6 @@ class TestPcaInputs:
         self, two_gauss_dataset, monkeypatch, mode, expected_fits
     ):
         x, y01 = two_gauss_dataset
-        data = make_eval_data(x[:60], y01[:60])
         calls = []
         real_fit = evolve.pca_fit
 
@@ -242,11 +255,33 @@ class TestPcaInputs:
             return real_fit(*args, **kwargs)
 
         monkeypatch.setattr(evolve, "pca_fit", slow_counting_fit)
+        data = make_eval_data(x[:60], y01[:60], pca=mode is EncodingMode.PCA_HEADER)
+        assert calls == expected_fits
         config = GaConfig(
             m_qubits=1, n_layers=2, mode=mode, mu=6, lambda_=4, max_generations=2, patience=0
         )
         run(config, data, threads=2)
         assert calls == expected_fits
+
+
+class TestModeMismatch:
+    """A config run on data of the other mode fails before any evaluation,
+    and is not absorbed into worst-case fitness."""
+
+    @pytest.mark.parametrize("mode", list(EncodingMode))
+    def test_run_raises_before_evaluating(self, two_gauss_dataset, monkeypatch, caplog, mode):
+        x, y01 = two_gauss_dataset
+        wrong = make_eval_data(x[:60], y01[:60], pca=mode is not EncodingMode.PCA_HEADER)
+        simulated = []
+        monkeypatch.setattr(evolve, "evaluate_states", lambda *a: simulated.append(a))
+        config = GaConfig(m_qubits=1, n_layers=2, mode=mode, mu=6, lambda_=4, max_generations=2)
+        with pytest.raises(TypeError, match="config run on"):
+            run(config, wrong, threads=2)
+        bits = np.zeros(genome_length(1, 2, mode), dtype=np.uint8)
+        with pytest.raises(TypeError, match="config run on"):
+            evaluate_fitness(Individual(bits=bits), wrong, config)
+        assert simulated == []
+        assert not any("worst-case" in r.message for r in caplog.records)
 
 
 class TestFlipbitMutation:

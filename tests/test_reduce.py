@@ -13,7 +13,7 @@ from qkevolve.reduce import (
     stratified_split,
 )
 
-from oracles import svd_pca
+from oracles import reference_standardize_apply, svd_pca
 
 
 class TestStandardize:
@@ -35,6 +35,29 @@ class TestStandardize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             standardize_fit(np.empty((0, 3)))
+
+    def test_byte_equal_to_reference_and_input_untouched(self):
+        rng = np.random.default_rng(12)
+        train = rng.normal(size=(30, 8))
+        train[:, 2] = 4.0  # constant feature
+        train[:, 5] = 0.0  # constant zero feature
+        wide = rng.normal(scale=3.0, size=(10, 16))  # test rows beyond the fitted range
+        ints = rng.integers(-50, 50, size=(12, 8))
+        cases = [
+            (standardize_fit(train), train),
+            (standardize_fit(train), wide[:, ::2]),  # non-contiguous view
+            (standardize_fit(train), wide[:8, :8].T),  # transposed view
+            (standardize_fit(ints[:6]), ints),  # integer input
+            (standardize_fit(train), train[0]),  # one row
+        ]
+        for params, x in cases:
+            before = np.array(x, copy=True)
+            got = standardize_apply(params, x)
+            want = reference_standardize_apply(params, x)
+            assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(x, before) and x.dtype == before.dtype
+        assert np.abs(standardize_apply(*cases[1])).max() > 1.0
 
 
 class TestPca:
