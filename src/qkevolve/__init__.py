@@ -18,6 +18,7 @@ from .reduce import (
     StandardizationParams,
     load_external_features,
     pca_fit,
+    pca_slice,
     pca_transform,
     standardize_apply,
     standardize_fit,

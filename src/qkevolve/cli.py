@@ -180,7 +180,8 @@ def parse_config_file(path, require_dataset: bool = True) -> RunConfig:
 
 
 def _read_pgm(path: Path) -> np.ndarray:
-    """Decode a P2 (ascii) or P5 (binary) PGM into floats in [0, 1]."""
+    """Decode a P2 (ascii) or P5 (binary) PGM into floats in [0, 1]; a sample
+    outside [0, maxval] is rejected."""
     data = path.read_bytes()
     if data[:2] not in (b"P2", b"P5"):
         raise ValueError(f"{path}: not a P2/P5 PGM file")
@@ -214,10 +215,15 @@ def _read_pgm(path: Path) -> np.ndarray:
         if len(data) - pos < count * dtype.itemsize:
             raise ValueError(f"{path}: truncated PGM pixel data")
         pixels = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
+        # a full-range sample type cannot exceed maxval, so it needs no check
+        checked = maxval < np.iinfo(dtype).max
     else:
         pixels = np.array(data[pos:].split(), dtype=float)
         if pixels.size != width * height:
             raise ValueError(f"{path}: wrong ascii pixel count")
+        checked = True
+    if checked and not 0 <= pixels.min() <= pixels.max() <= maxval:
+        raise ValueError(f"{path}: PGM sample outside [0, {maxval}]")
     return pixels.reshape(height, width).astype(float) / maxval
 
 
@@ -501,8 +507,9 @@ def _cmd_inspect(args) -> int:
     if genome.pca_components is not None:
         print(f"pca_components: {genome.pca_components} requested")
         print(
-            "note: a run clamps this to at most n_train - 1; its report.json gives "
-            "pca_components_effective and the circuit it evaluated"
+            f"note: a run uses min(requested, n_train - 1, image_size² = {config.image_size**2}) "
+            "components; its report.json gives pca_components_effective and the circuit it "
+            "evaluated"
         )
     print(f"complexity: {complexity(circ)}")
     census = circ.census

@@ -33,11 +33,9 @@ from .genome import (
     genome_length,
     random_bits,
 )
-# pca_slice is not called here; it stays importable as evolve.pca_slice only
-# because the benchmark traces that name, and can go with its trace target.
-# pca_fit and pca_transform are called through this module's names from
-# `project_pca`, which is where the benchmark traces them.
-from .reduce import pca_fit, pca_slice, pca_transform  # noqa: F401
+# Called through this module's names from `project_pca`, which is where the
+# benchmark traces them.
+from .reduce import pca_fit, pca_slice, pca_transform
 from .svm import SvmConfig
 
 log = logging.getLogger(__name__)
@@ -112,12 +110,11 @@ class EvalData:
 
 
 def project_pca(x_train: np.ndarray, x_test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fit PCA on the training rows once, at r_max = min(n_train - 1, d, 64)
-    components, and return the train and test scores. Each count r then
-    slices the leading r columns, which matches a refit at r up to rounding
-    in the projection sums."""
-    n, d = x_train.shape
-    model = pca_fit(x_train, min(n - 1, d, MAX_PCA_COMPONENTS))
+    """Fit PCA on the training rows once, keep its leading
+    r_max = min(n_train - 1, d, 64) components, and return the train and test
+    scores. Each count r then slices the leading r columns, which matches
+    projecting through `pca_slice(model, r)` up to rounding in the sums."""
+    model = pca_slice(pca_fit(x_train), MAX_PCA_COMPONENTS)
     return pca_transform(model, x_train), pca_transform(model, x_test)
 
 

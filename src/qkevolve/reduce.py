@@ -62,9 +62,9 @@ class PcaModel:
     components: np.ndarray  # r x d, orthonormal rows, by non-increasing variance
 
 
-def pca_fit(train: np.ndarray, r: int) -> PcaModel:
-    """Top-r principal directions of the centered training rows C (n x d),
-    from the eigendecomposition of the smaller Gram matrix.
+def pca_fit(train: np.ndarray) -> PcaModel:
+    """All min(n-1, d) principal directions of the centered training rows C
+    (n x d), from the eigendecomposition of the smaller Gram matrix.
 
     With n <= d that is C C^T (n x n), and component k is v_k^T C / sqrt(l_k)
     for its k-th largest eigenpair (v_k, l_k), the "snapshot" form of PCA
@@ -74,44 +74,34 @@ def pca_fit(train: np.ndarray, r: int) -> PcaModel:
     training variance is numerically zero, l_k <= n * eps * l_1 (which covers
     l_1 = 0), comes back as a zero row, with one warning giving the count.
 
-    A requested r outside [1, min(n-1, d)] is clamped (with a log line) rather
-    than rejected, because evolved individuals may ask for more components
-    than the sample count supports. Component signs are fixed so the largest-
-    magnitude loading of each component is positive, making the decomposition
-    deterministic.
+    Component signs are fixed so the largest-magnitude loading of each
+    component is positive, making the decomposition deterministic. Use
+    `pca_slice` for fewer components.
     """
     train = np.atleast_2d(np.asarray(train, dtype=float))
     n, d = train.shape
     if n < 2:
         raise ValueError("PCA requires at least two training rows")
-    r_max = min(n - 1, d)
-    r_eff = int(min(max(1, r), r_max))
-    if r_eff != r:
-        log.warning("clamped PCA components from %d to %d (n=%d, d=%d)", r, r_eff, n, d)
+    r = min(n - 1, d)
     centered = train - train[0]
     shift = centered.mean(axis=0)
     centered -= shift
     snapshot = n <= d
     eigvals, eigvecs = np.linalg.eigh(centered @ centered.T if snapshot else centered.T @ centered)
-    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
-    null = eigvals[:r_eff] <= n * np.finfo(float).eps * eigvals[0]
+    eigvals, eigvecs = eigvals[::-1][:r], eigvecs[:, ::-1][:, :r]
+    null = eigvals <= n * np.finfo(float).eps * eigvals[0]
     if null.any():
-        log.warning("%d of %d PCA components have zero training variance", null.sum(), r_eff)
+        log.warning("%d of %d PCA components have zero training variance", null.sum(), r)
     if snapshot:
-        # All r_max components are projected and then cut to r_eff: the BLAS may
-        # block a product differently by its row count, and projecting them all
-        # keeps a fit at r the leading rows of any larger fit, byte for byte.
-        components = (eigvecs[:, :r_max].T @ centered)[:r_eff]
-        del centered  # freed before the compact copy below
-        components /= np.sqrt(np.where(null, 1.0, eigvals[:r_eff]))[:, None]
+        components = eigvecs.T @ centered
+        components /= np.sqrt(np.where(null, 1.0, eigvals))[:, None]
     else:
-        components = eigvecs[:, :r_eff].T
+        components = eigvecs.T
+    del centered  # freed before the full-size |components| below
     components[null] = 0.0
-    flip = np.where(components[np.arange(r_eff), np.abs(components).argmax(axis=1)] < 0, -1.0, 1.0)
+    flip = np.where(components[np.arange(r), np.abs(components).argmax(axis=1)] < 0, -1.0, 1.0)
     components *= flip[:, None]
-    # A compact copy, so the model does not keep the r_max-row projection (or
-    # the full eigenvector matrix) alive through a view.
-    return PcaModel(mean=train[0] + shift, components=components.copy(order="K"))
+    return PcaModel(mean=train[0] + shift, components=components)
 
 
 def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
@@ -124,8 +114,8 @@ def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
 
 
 def pca_slice(model: PcaModel, r: int) -> PcaModel:
-    """Truncation of a fitted model to its leading min(r, rank) components;
-    identical to refitting with the smaller count."""
+    """The one truncation of a fitted model: its leading components, r
+    clamped to [1, the count it holds]."""
     r_eff = int(min(max(1, r), model.components.shape[0]))
     return PcaModel(mean=model.mean, components=model.components[:r_eff])
 
@@ -182,7 +172,8 @@ def stratified_split(
 def load_external_features(path) -> FeatureMatrix:
     """Read a feature CSV: header row, one sample per row, {0, 1} label in the
     final column (which must be named 'label'). Values are returned exactly as
-    stored. Malformed rows are rejected with their row number."""
+    stored. Malformed rows, among them non-finite values such as 'nan' or
+    'inf', are rejected with their row number."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -213,4 +204,8 @@ def load_external_features(path) -> FeatureMatrix:
             labels.append(int(label_text))
     if not rows:
         raise ValueError(f"{path}: feature file has no data rows")
-    return FeatureMatrix(rows=np.asarray(rows, dtype=float), labels=np.asarray(labels, dtype=int))
+    features = np.asarray(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: row {bad[0] + 2}: non-finite feature value")
+    return FeatureMatrix(rows=features, labels=np.asarray(labels, dtype=int))

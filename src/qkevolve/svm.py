@@ -43,9 +43,9 @@ class SvmConfig:
     max_passes: int = 100_000
 
     def __post_init__(self):
-        if self.c_reg <= 0:
+        if not self.c_reg > 0:  # also rejects NaN
             raise ValueError("c_reg must be positive")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_passes < 1:
             raise ValueError("max_passes must be at least 1")

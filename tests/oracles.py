@@ -277,9 +277,9 @@ def reference_standardize_apply(params: StandardizationParams, x: np.ndarray) ->
 
 def svd_pca(train: np.ndarray, r: int) -> PcaModel:
     """Top-r principal directions from the thin SVD of the centered rows, with
-    `pca_fit`'s clamp to [1, min(n-1, d)] and its sign rule (largest-magnitude
-    loading positive). Directions of zero variance are whatever the SVD
-    returns for the null space."""
+    r clamped to [1, min(n-1, d)] as `pca_slice(pca_fit(train), r)` clamps it,
+    and `pca_fit`'s sign rule (largest-magnitude loading positive). Directions
+    of zero variance are whatever the SVD returns for the null space."""
     train = np.atleast_2d(np.asarray(train, dtype=float))
     n, d = train.shape
     r_eff = int(min(max(1, r), n - 1, d))

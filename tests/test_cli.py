@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -89,7 +90,9 @@ OUT_OF_RANGE = [
     ("mu", 0),
     ("lambda", 0),
     ("svm_c", 0),
+    ("svm_c", float("nan")),
     ("svm_tol", 0),
+    ("svm_tol", float("nan")),
     ("svm_max_passes", 0),
     ("qubits", 0),
     ("p_gen", 1.5),
@@ -188,6 +191,24 @@ class TestPgm:
 
         assert np.all(_read_pgm(tmp_path / "g.pgm") == 0.5)
 
+    @pytest.mark.parametrize(
+        "binary, maxval, value", [(False, 10, 300), (True, 100, 255), (True, 1000, 1001)]
+    )
+    def test_sample_above_maxval_rejected_and_skipped(self, tmp_path, caplog, binary, maxval, value):
+        from qkevolve.cli import _read_pgm
+
+        root = make_image_tree(tmp_path / "imgs", per_class=2, size=4)
+        bad = root / "a_negative" / "over.pgm"
+        img = np.zeros((4, 4), dtype=int)
+        img[1, 2] = value
+        write_pgm(bad, img, maxval=maxval, binary=binary)
+        with pytest.raises(ValueError, match=f"outside \\[0, {maxval}\\]"):
+            _read_pgm(bad)
+        fm = load_image_dataset(root, image_size=4)
+        assert fm.rows.shape == (4, 16) and fm.rows.max() <= 1.0
+        assert any("skipping unreadable image" in r.message and "over.pgm" in r.message
+                   for r in caplog.records)
+
     def test_truncated_rejected(self, tmp_path):
         (tmp_path / "t.pgm").write_bytes(b"P5\n4 4\n255\n\x00\x01")
         from qkevolve.cli import _read_pgm
@@ -251,6 +272,18 @@ class TestLoadImageDataset:
         # the trimmed rows own their memory: no (files x d) buffer stays alive as a base
         assert fm.rows.base is None and fm.rows.flags.owndata
         assert fm.labels.base is None
+
+    def test_non_pgm_file_skipped_without_pillow(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setitem(sys.modules, "PIL", None)  # as if Pillow were not installed
+        root = make_image_tree(tmp_path / "imgs", per_class=2, size=4)
+        (root / "b_positive" / "photo.png").write_bytes(b"\x89PNG\r\n\x1a\n")
+        fm = load_image_dataset(root, image_size=4)
+        assert fm.rows.shape == (4, 16) and fm.labels.tolist() == [0, 0, 1, 1]
+        assert any(
+            "skipping unreadable image" in r.message
+            and "photo.png: only PGM is supported without Pillow installed" in r.message
+            for r in caplog.records
+        )
 
     def test_wrong_class_count_aborts(self, tmp_path):
         root = tmp_path / "one"
@@ -384,11 +417,13 @@ class TestCommands:
             output_dir=tmp_path,
             qubits=2,
             layers=1,
+            image_size=12,
         )
         genome = "0000000" + "0000111" + "1010000"  # header=1 comp; Rx(x0*pi); CNOT
         assert main(["inspect", "--genome", genome, "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "pca_components: 1 requested" in out
+        assert "min(requested, n_train - 1, image_size² = 144)" in out
         assert "pca_components_effective" in out
         assert "complexity: 1.5" in out
         assert "Rx(x0·π)" in out and "●" in out
@@ -445,9 +480,10 @@ class TestPrepareData:
         fits = []
         real_fit = evolve.pca_fit
 
-        def spy_fit(train, r):
-            fits.append((np.array(train, copy=True), r))
-            return real_fit(train, r)
+        def spy_fit(train):
+            model = real_fit(train)
+            fits.append((np.array(train, copy=True), model.components.shape[0]))
+            return model
 
         monkeypatch.setattr(evolve, "pca_fit", spy_fit)
         prepared = prepare_data(config)

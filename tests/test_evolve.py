@@ -25,7 +25,7 @@ from qkevolve.evolve import (
 )
 from qkevolve.circuit import evaluate_states
 from qkevolve.genome import GATE_BITS, HEADER_BITS, EncodingMode, genome_length, random_bits
-from qkevolve.reduce import pca_fit, pca_transform
+from qkevolve.reduce import pca_fit, pca_slice, pca_transform
 
 from conftest import make_eval_data
 from oracles import peel_fronts
@@ -230,14 +230,15 @@ class TestPcaInputs:
         assert data.x_train.shape[1] == data.x_test.shape[1] == r_max
         config = GaConfig(m_qubits=1, n_layers=1, mode=EncodingMode.PCA_HEADER)
         counts = {1, r_max // 2, r_max} | ({64} if r_max < 64 else set())
+        full = pca_fit(features.x_train)
         for r in sorted(counts):
             _, _, x_train_r, x_test_r = compile_individual(header_bits(r), data, config)
-            model = pca_fit(features.x_train, r)
+            model = pca_slice(full, r)
             assert x_train_r.shape == (features.x_train.shape[0], min(r, r_max))
             for got, x_full in ((x_train_r, features.x_train), (x_test_r, features.x_test)):
                 np.testing.assert_allclose(got, pca_transform(model, x_full), rtol=0, atol=1e-10)
 
-    # 60 samples leave 45 training rows, so the one fit asks for 44 components.
+    # 60 samples leave 45 training rows, so the one fit holds 44 components.
     # It happens when the data are projected; the threaded run fits nothing.
     @pytest.mark.parametrize(
         "mode, expected_fits", [(EncodingMode.PCA_HEADER, [44]), (EncodingMode.FIXED_FEATURES, [])]
@@ -250,9 +251,10 @@ class TestPcaInputs:
         real_fit = evolve.pca_fit
 
         def slow_counting_fit(*args, **kwargs):
-            calls.append(args[1])
             time.sleep(0.05)  # widen the window in which a second thread could also fit
-            return real_fit(*args, **kwargs)
+            model = real_fit(*args, **kwargs)
+            calls.append(model.components.shape[0])
+            return model
 
         monkeypatch.setattr(evolve, "pca_fit", slow_counting_fit)
         data = make_eval_data(x[:60], y01[:60], pca=mode is EncodingMode.PCA_HEADER)

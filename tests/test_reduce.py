@@ -64,14 +64,15 @@ class TestPca:
     def test_rank_one_data_captures_all_variance(self):
         t = np.linspace(-2, 2, 30)
         data = np.stack([t, 3.0 * t], axis=1)
-        scores = pca_transform(pca_fit(data, 1), data)
+        scores = pca_transform(pca_slice(pca_fit(data), 1), data)
         total = np.var(data, axis=0, ddof=1).sum()
         assert np.var(scores[:, 0], ddof=1) == pytest.approx(total, rel=1e-10)
 
     def test_full_rank_transform_is_isometry(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=(30, 5))
-        model = pca_fit(data, 5)
+        model = pca_fit(data)
+        assert model.components.shape == (5, 5)
         proj = pca_transform(model, data)
         d_orig = np.linalg.norm(data[:, None] - data[None, :], axis=2)
         d_proj = np.linalg.norm(proj[:, None] - proj[None, :], axis=2)
@@ -80,9 +81,10 @@ class TestPca:
     def test_reconstruction_error_non_increasing_in_r(self):
         rng = np.random.default_rng(11)
         data = rng.normal(size=(20, 10))
+        full = pca_fit(data)
         errors = []
         for r in range(1, 11):
-            model = pca_fit(data, r)
+            model = pca_slice(full, r)
             proj = pca_transform(model, data)
             recon = proj @ model.components + model.mean
             errors.append(np.linalg.norm(data - recon))
@@ -95,46 +97,49 @@ class TestPca:
             d = int(rng.integers(2, 15))
             r = int(rng.integers(1, min(n - 1, d) + 1))
             data = rng.normal(size=(n, d))
-            model = pca_fit(data, r)
+            model = pca_slice(pca_fit(data), r)
             gram = model.components @ model.components.T
             assert np.allclose(gram, np.eye(r), atol=1e-8)
             variances = np.var(pca_transform(model, data), axis=0, ddof=1)
             assert np.all(np.diff(variances) <= 1e-10)
 
-    def test_out_of_range_components_clamped(self, caplog):
+    def test_out_of_range_components_clamped(self):
         rng = np.random.default_rng(17)
-        data = rng.normal(size=(5, 3))
-        model = pca_fit(data, 50)
-        assert model.components.shape[0] == 3
-        model = pca_fit(data, 0)
-        assert model.components.shape[0] == 1
+        for shape, held in (((5, 3), 3), ((4, 9), 3)):  # min(n - 1, d) components
+            full = pca_fit(rng.normal(size=shape))
+            assert full.components.shape == (held, shape[1])
+            for r, kept in ((50, held), (held + 1, held), (0, 1), (-2, 1)):
+                assert pca_slice(full, r).components.shape == (kept, shape[1])
 
     def test_deterministic_including_signs(self):
         rng = np.random.default_rng(19)
         data = rng.normal(size=(12, 6))
-        m1, m2 = pca_fit(data, 4), pca_fit(data, 4)
+        m1, m2 = pca_slice(pca_fit(data), 4), pca_slice(pca_fit(data), 4)
         assert np.array_equal(m1.components, m2.components)
         # fixed convention: the largest loading of each component is positive
         peaks = m1.components[np.arange(4), np.abs(m1.components).argmax(axis=1)]
         assert np.all(peaks > 0)
 
-    def test_slice_equals_refit(self):
+    def test_slice_is_leading_rows_of_full_fit(self):
         rng = np.random.default_rng(23)
         data = rng.normal(size=(15, 8))
-        full = pca_fit(data, 8)  # full rank, as the evolution cache fits it
+        full = pca_fit(data)
         for r in (1, 3, 7, 20):
             sliced = pca_slice(full, r)
-            refit = pca_fit(data, r)
-            assert np.array_equal(sliced.components, refit.components)
+            assert sliced.components.tobytes() == full.components[: min(r, 8)].tobytes()
+            assert sliced.mean is full.mean
+            # truncating in steps is truncating once
+            twice = pca_slice(pca_slice(full, 7), r)
+            assert twice.components.tobytes() == pca_slice(full, min(r, 7)).components.tobytes()
 
     def test_transform_dimension_mismatch(self):
-        model = pca_fit(np.random.default_rng(2).normal(size=(6, 4)), 2)
+        model = pca_slice(pca_fit(np.random.default_rng(2).normal(size=(6, 4))), 2)
         with pytest.raises(ValueError, match="mismatch"):
             pca_transform(model, np.zeros((3, 5)))
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
-            pca_fit(np.ones((1, 4)), 1)
+            pca_fit(np.ones((1, 4)))
 
 
 # Both sides of the Gram eigendecomposition: n <= d takes C C^T, n > d takes C^T C.
@@ -147,7 +152,7 @@ class TestPcaAgainstSvd:
         rng = np.random.default_rng(37)
         train = rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, size=d)
         held_out = rng.normal(size=(10, d))
-        model = pca_fit(train, n - 1)
+        model = pca_fit(train)
         oracle = svd_pca(train, n - 1)
         for x in (train, held_out):
             np.testing.assert_allclose(
@@ -158,18 +163,26 @@ class TestPcaAgainstSvd:
     def test_components_orthonormal(self, n, d):
         rng = np.random.default_rng(43)
         r = min(n - 1, d)
-        components = pca_fit(rng.normal(size=(n, d)), r).components
+        components = pca_fit(rng.normal(size=(n, d))).components
+        assert components.shape == (r, d)
         np.testing.assert_allclose(components @ components.T, np.eye(r), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("n, d", SHAPES)
-    def test_slices_equal_refits_byte_for_byte(self, n, d):
+    def test_sliced_scores_are_leading_score_columns(self, n, d):
+        # what a run relies on: scores projected once, then cut per individual
         rng = np.random.default_rng(47)
         train = rng.normal(size=(n, d))
-        full = pca_fit(train, min(n - 1, d))
+        full = pca_fit(train)
+        scores = pca_transform(full, train)
         for r in (1, 2, 5, min(n - 1, d)):
-            refit = pca_fit(train, r)
-            assert pca_slice(full, r).components.tobytes() == refit.components.tobytes()
-            assert full.mean.tobytes() == refit.mean.tobytes()
+            sliced = pca_slice(full, r)
+            np.testing.assert_allclose(
+                pca_transform(sliced, train), scores[:, :r], rtol=0, atol=1e-10
+            )
+            np.testing.assert_allclose(
+                pca_transform(sliced, train), pca_transform(svd_pca(train, r), train),
+                rtol=0, atol=1e-10,
+            )
 
     @pytest.mark.parametrize(
         "case",
@@ -186,7 +199,7 @@ class TestPcaAgainstSvd:
             train = np.full((n, d), 0.1)  # its mean is not exactly 0.1 in floating point
         rank = np.linalg.matrix_rank(train - train[0])
         r = min(n - 1, d)
-        model = pca_fit(train, r)
+        model = pca_fit(train)
         assert np.isfinite(model.components).all()
         assert not model.components[rank:].any()
         kept = model.components[:rank]
@@ -273,8 +286,8 @@ class TestNoLeakage:
         p1, p2 = standardize_fit(x[train]), standardize_fit(perturbed[train])
         assert p1.feature_min.tobytes() == p2.feature_min.tobytes()
         assert p1.feature_max.tobytes() == p2.feature_max.tobytes()
-        m1 = pca_fit(standardize_apply(p1, x[train]), 3)
-        m2 = pca_fit(standardize_apply(p2, perturbed[train]), 3)
+        m1 = pca_fit(standardize_apply(p1, x[train]))
+        m2 = pca_fit(standardize_apply(p2, perturbed[train]))
         assert m1.components.tobytes() == m2.components.tobytes()
         assert m1.mean.tobytes() == m2.mean.tobytes()
 
@@ -321,6 +334,12 @@ class TestLoadExternalFeatures:
     def test_non_numeric_feature_rejected(self, tmp_path):
         path = self.write(tmp_path, "f0,label\nabc,1")
         with pytest.raises(ValueError, match="row 2"):
+            load_external_features(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_rejected_with_row_number(self, tmp_path, value):
+        path = self.write(tmp_path, f"f0,f1,label\n0.1,0.2,0\n0.3,{value},1\n0.5,0.6,0")
+        with pytest.raises(ValueError, match="row 3: non-finite"):
             load_external_features(path)
 
     def test_values_returned_exactly_as_stored(self, tmp_path):
