@@ -5,9 +5,7 @@ from .genome import (
     EncodingMode,
     GateGene,
     GateKind,
-    decode_gate,
     decode_genome,
-    encode_genome,
     genome_length,
 )
 from .circuit import FeatureMapCircuit, build_feature_map, complexity, evaluate_states

@@ -2,8 +2,8 @@
 softmax output, trained full-batch by Adam on cross-entropy.
 
 The two-neuron output realizes binary cross-entropy over softmax classes;
-labels are {0, 1}. The hidden width defaults to 6 to keep the parameter count
-comparable to the evolved quantum models.
+labels are {0, 1}. `train` uses a hidden width of 6 to keep the parameter
+count comparable to the evolved quantum models.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ def train(
     lr: float,
     epochs: int = 100,
     seed: int = 0,
-    hidden_dim: int = 6,
 ) -> MlpModel:
     """Full-batch Adam; the per-epoch loss curve is stored on the model."""
     check_training_params(lr, epochs)
@@ -106,7 +105,7 @@ def train(
     y = np.asarray(y_train, dtype=int).ravel()
     if not np.all(np.isin(y, (0, 1))):
         raise ValueError("labels must be 0 or 1")
-    model = init_model(xs.shape[1], hidden_dim=hidden_dim, seed=seed)
+    model = init_model(xs.shape[1], seed=seed)
     params = {"w1": model.w1, "b1": model.b1, "w2": model.w2, "b2": model.b2}
     m_state = {k: np.zeros_like(v) for k, v in params.items()}
     v_state = {k: np.zeros_like(v) for k, v in params.items()}

@@ -106,7 +106,6 @@ class RunConfig:
         return GaConfig(
             m_qubits=self.qubits,
             n_layers=self.layers,
-            mode=self.encoding_mode,
             mu=self.mu,
             lambda_=self.lambda_,
             p_cross=self.p_cross,
@@ -153,6 +152,8 @@ def parse_config_file(path, require_dataset: bool = True) -> RunConfig:
         key, text = key.strip(), text.strip()
         if key not in _CONFIG_TYPES:
             raise ConfigError("config-key", f"line {line_no}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError("config-key", f"line {line_no}: duplicate key {key!r}")
         typ = _CONFIG_TYPES[key]
         try:
             values[key] = _BOOLS[text.lower()] if typ is bool else typ(text)
@@ -316,7 +317,8 @@ def prepare_data(config: RunConfig) -> PreparedData:
     standardized blocks are then projected once onto the most components a
     header can request, and only those scores are kept. Each full-size
     matrix is dropped as soon as the next step no longer needs it."""
-    if config.mode == "pca":
+    mode = config.encoding_mode
+    if mode is EncodingMode.PCA_HEADER:
         dataset = load_image_dataset(config.dataset, config.image_size)
     else:
         try:
@@ -338,8 +340,7 @@ def prepare_data(config: RunConfig) -> PreparedData:
     del train_rows
     x_test = standardize_apply(params, test_rows)
     del test_rows
-    pca_scores = config.mode == "pca"
-    if pca_scores:
+    if mode is EncodingMode.PCA_HEADER:
         x_train, x_test = evolve.project_pca(x_train, x_test)
     y01_train = labels[train_idx]
     y01_test = labels[test_idx]
@@ -351,7 +352,7 @@ def prepare_data(config: RunConfig) -> PreparedData:
             x_test=x_test,
             y_test=y01_test * 2 - 1,
             svm_config=config.svm_config(),
-            pca_scores=pca_scores,
+            mode=mode,
         ),
         labels01_train=y01_train,
         labels01_test=y01_test,
@@ -381,7 +382,7 @@ def run_baseline(config: RunConfig, prepared: PreparedData) -> dict:
     fits its own PCA, the only caller there that needs one."""
     data = prepared.eval_data
     x_train, x_test = data.x_train, data.x_test
-    if not data.pca_scores:
+    if data.mode is EncodingMode.FIXED_FEATURES:
         x_train, x_test = evolve.project_pca(x_train, x_test)
     model = baseline_mod.train(
         x_train,
@@ -502,7 +503,7 @@ def _cmd_inspect(args) -> int:
         genome = decode_genome(bits, config.qubits, config.layers, config.encoding_mode)
     except ValueError as exc:
         raise ConfigError("genome-length", str(exc)) from None
-    dim = genome.pca_components if config.mode == "pca" else EXTERNAL_FEATURE_DIM
+    dim = EXTERNAL_FEATURE_DIM if genome.pca_components is None else genome.pca_components
     circ = build_feature_map(genome, dim)
     if genome.pca_components is not None:
         print(f"pca_components: {genome.pca_components} requested")

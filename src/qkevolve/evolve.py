@@ -64,7 +64,6 @@ class Individual:
 class GaConfig:
     m_qubits: int
     n_layers: int
-    mode: EncodingMode
     mu: int = 50
     lambda_: int = 20
     p_cross: float = 0.6
@@ -94,19 +93,18 @@ class GaConfig:
 @dataclass
 class EvalData:
     """Prepared dataset shared by every fitness evaluation: already split,
-    standardized, with labels in {-1, +1}. With `pca_scores` set, x_train
-    and x_test are the rows' scores from `project_pca`, on the most
-    components a header can request; a header asking for r components reads
-    their leading min(r, r_max) columns. Without it they are the fixed
-    features. Only PCA-header configs run on scores, and only fixed-feature
-    configs on features."""
+    standardized, with labels in {-1, +1}. Its `mode` selects the genome
+    encoding. In PCA_HEADER mode x_train and x_test are the rows' scores from
+    `project_pca`, on the most components a header can request, and a header
+    asking for r components reads their leading min(r, r_max) columns. In
+    FIXED_FEATURES mode they are the fixed features."""
 
     x_train: np.ndarray
     y_train: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
     svm_config: SvmConfig = field(default_factory=SvmConfig)
-    pca_scores: bool = False
+    mode: EncodingMode = EncodingMode.FIXED_FEATURES
 
 
 def project_pca(x_train: np.ndarray, x_test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,17 +121,8 @@ def compile_individual(
 ) -> tuple[CircuitGenome, FeatureMapCircuit, np.ndarray, np.ndarray]:
     """Decode a bitstring and build the circuit it is scored with, together
     with its train and test inputs: the leading principal-component scores
-    its header asks for, or the fixed features without a header.
-
-    Raises TypeError when the config's mode and the data disagree (a header
-    config on features, or a fixed-feature config on scores): that is a
-    programming error, so `evaluate_fitness` does not absorb it."""
-    if (config.mode is EncodingMode.PCA_HEADER) != data.pca_scores:
-        raise TypeError(
-            f"{config.mode.value} config run on "
-            f"{'PCA scores' if data.pca_scores else 'unprojected features'}"
-        )
-    genome = decode_genome(bits, config.m_qubits, config.n_layers, config.mode)
+    its header asks for, or the fixed features without a header."""
+    genome = decode_genome(bits, config.m_qubits, config.n_layers, data.mode)
     x_train, x_test = data.x_train, data.x_test
     if genome.pca_components is not None:
         x_train, x_test = x_train[:, : genome.pca_components], x_test[:, : genome.pca_components]
@@ -175,9 +164,8 @@ def evaluate_fitness(ind: Individual, data: EvalData, config: GaConfig) -> Fitne
     The expected failures are absorbed into a worst-case fitness (accuracy 0,
     complexity of a full grid) so a long evolution never halts on one bad
     individual: ValueError (numpy's LinAlgError among them) from the SVM
-    guards, and RuntimeError from the SVM's PSD abort. Any other exception,
-    among them the TypeError of a config run on data of the other mode, is a
-    programming error and propagates.
+    guards, and RuntimeError from the SVM's PSD abort. Any other exception
+    is a programming error and propagates.
     """
     try:
         circ, _, acc = train_individual(ind.bits, data, config)
@@ -364,7 +352,7 @@ def run(
     `patience` generations. The best individual is the archive member with
     maximum accuracy, ties broken by minimum O_B and then by eval_id.
     """
-    length = genome_length(config.m_qubits, config.n_layers, config.mode)
+    length = genome_length(config.m_qubits, config.n_layers, data.mode)
     cache: dict[bytes, FitnessPair] = {}
     evaluations = 0
 

@@ -52,7 +52,6 @@ KIND_BY_CODE = (
     GateKind.RX_FIXED,   # 110
     GateKind.RY_FIXED,   # 111
 )
-CODE_BY_KIND = {kind: code for code, kind in enumerate(KIND_BY_CODE)}
 
 PARAM_KINDS = frozenset({GateKind.RX_PARAM, GateKind.RY_PARAM, GateKind.RZ_PARAM})
 ROTATION_AXIS = {
@@ -95,11 +94,10 @@ def angle_text(angle_step: int) -> str:
 # A field's value is its bits read MSB-first: gate code * 16 + angle value.
 _GENE_WEIGHTS = 1 << np.arange(GATE_BITS - 1, -1, -1)
 _HEADER_WEIGHTS = _GENE_WEIGHTS[-PCA_COMPONENT_BITS:]
-# All 128 decodable genes, and the bits of every 7-bit value, indexed by value.
+# All 128 decodable genes, indexed by field value.
 _GENES = np.array(
     [GateGene(kind, value + 1) for kind in KIND_BY_CODE for value in range(16)], dtype=object
 )
-_GATE_BIT_TABLE = ((np.arange(1 << GATE_BITS)[:, None] & _GENE_WEIGHTS) > 0).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -144,14 +142,6 @@ def _as_bits(bits) -> np.ndarray:
     return arr
 
 
-def decode_gate(bits) -> GateGene:
-    """Decode a single 7-bit field; every one of the 128 patterns is valid."""
-    arr = _as_bits(bits)
-    if arr.size != GATE_BITS:
-        raise ValueError(f"gate field must have {GATE_BITS} bits, got {arr.size}")
-    return _GENES[arr @ _GENE_WEIGHTS]
-
-
 def decode_genome(bits, m_qubits: int, n_layers: int, mode: EncodingMode) -> CircuitGenome:
     """Decode a full bitstring into a genome.
 
@@ -177,19 +167,6 @@ def decode_genome(bits, m_qubits: int, n_layers: int, mode: EncodingMode) -> Cir
         grid=tuple(tuple(genes[row::m_qubits]) for row in range(m_qubits)),
         pca_components=pca_components,
     )
-
-
-def encode_genome(genome: CircuitGenome, mode: EncodingMode) -> np.ndarray:
-    """Inverse of decode_genome; the spare header bit is emitted as 0."""
-    cells = (gene for layer in zip(*genome.grid) for gene in layer)
-    values = [CODE_BY_KIND[gene.kind] * 16 + gene.angle_step - 1 for gene in cells]
-    if mode is EncodingMode.PCA_HEADER:
-        if genome.pca_components is None:
-            raise ValueError("PCA_HEADER mode requires pca_components")
-        values.insert(0, (genome.pca_components - 1) << 1)
-    elif genome.pca_components is not None:
-        raise ValueError("FIXED_FEATURES mode forbids pca_components")
-    return _GATE_BIT_TABLE[values].ravel()
 
 
 def bits_to_line(bits) -> str:

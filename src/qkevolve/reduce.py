@@ -133,6 +133,8 @@ def stratified_split(
     The test set receives floor(n * test_fraction) samples: floor(n_c * f) per
     class, with any remainder handed out one by one starting from the largest
     class. Per-class proportions therefore stay within one sample of exact.
+    A split with no test row, or with a class that keeps no training row, is
+    rejected.
     """
     y = np.asarray(y).ravel()
     x = np.asarray(x)
@@ -156,6 +158,11 @@ def stratified_split(
             per_class[c] += 1
             remainder -= 1
         k += 1
+    all_test = [int(c) for c, cnt in zip(classes, counts) if per_class[c] == cnt]
+    if target == 0 or all_test:
+        sizes = {int(c): int(cnt) for c, cnt in zip(classes, counts)}
+        what = "no test row" if target == 0 else f"no training row in class {all_test[0]}"
+        raise ValueError(f"test_fraction {test_fraction} on class counts {sizes} leaves {what}")
 
     rng = np.random.default_rng(seed)
     test_parts, train_parts = [], []

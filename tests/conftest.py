@@ -10,7 +10,7 @@ from qkevolve.reduce import standardize_apply, standardize_fit, stratified_split
 def make_eval_data(x, y01, seed=0, test_fraction=0.25, svm_config=None, pca=False):
     """Split, standardize on train and wrap into EvalData with +-1 labels;
     with `pca`, project both blocks through `project_pca` as `prepare_data`
-    does, for PCA-header configs."""
+    does, for PCA-header genomes."""
     train_idx, test_idx = stratified_split(x, y01, test_fraction, seed)
     params = standardize_fit(x[train_idx])
     x_train = standardize_apply(params, x[train_idx])
@@ -23,7 +23,7 @@ def make_eval_data(x, y01, seed=0, test_fraction=0.25, svm_config=None, pca=Fals
         y_train=y01[train_idx] * 2 - 1,
         x_test=x_test,
         y_test=y01[test_idx] * 2 - 1,
-        pca_scores=pca,
+        mode=EncodingMode.PCA_HEADER if pca else EncodingMode.FIXED_FEATURES,
         **kwargs,
     )
 

@@ -12,8 +12,9 @@ the centered rows instead of the eigendecomposition of their smaller Gram.
 a bit-exact reference, and `reference_standardize_apply` is the same for the
 standardization before its in-place rewrite.
 
-Two single-point helpers that only tests use live here too: the SVM decision
-value of one kernel row and the MLP's class probabilities for one input.
+Helpers that only tests use live here too: the genome encoder, the inverse
+of `decode_genome` that the round-trip tests run, the SVM decision value of
+one kernel row and the MLP's class probabilities for one input.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 
 import numpy as np
 
-from qkevolve.genome import ROTATION_AXIS, GateKind
+from qkevolve.genome import GATE_BITS, KIND_BY_CODE, ROTATION_AXIS, EncodingMode, GateKind
 from qkevolve.reduce import PcaModel, StandardizationParams
 from qkevolve.svm import PSD_ABORT_TOL, PSD_CLAMP_TOL, SUPPORT_TOL, SvmConfig, TrainedQSVM
 
@@ -321,3 +322,23 @@ def mlp_numeric_grads(model, xs: np.ndarray, y: np.ndarray, h: float = 1e-5) -> 
             grad.ravel()[i] = (plus - minus) / (2 * h)
         grads[name] = grad
     return grads
+
+
+CODE_BY_KIND = {kind: code for code, kind in enumerate(KIND_BY_CODE)}
+# The bits of every 7-bit field value, MSB first, indexed by value.
+_GATE_BIT_TABLE = (
+    (np.arange(1 << GATE_BITS)[:, None] >> np.arange(GATE_BITS - 1, -1, -1)) & 1
+).astype(np.uint8)
+
+
+def encode_genome(genome, mode: EncodingMode) -> np.ndarray:
+    """Inverse of decode_genome; the spare header bit is emitted as 0."""
+    cells = (gene for layer in zip(*genome.grid) for gene in layer)
+    values = [CODE_BY_KIND[gene.kind] * 16 + gene.angle_step - 1 for gene in cells]
+    if mode is EncodingMode.PCA_HEADER:
+        if genome.pca_components is None:
+            raise ValueError("PCA_HEADER mode requires pca_components")
+        values.insert(0, (genome.pca_components - 1) << 1)
+    elif genome.pca_components is not None:
+        raise ValueError("FIXED_FEATURES mode forbids pca_components")
+    return _GATE_BIT_TABLE[values].ravel()

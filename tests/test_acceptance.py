@@ -28,9 +28,7 @@ from qkevolve.genome import (
     GateGene,
     GateKind,
     KIND_BY_CODE,
-    decode_gate,
     decode_genome,
-    encode_genome,
     genome_length,
     random_bits,
 )
@@ -39,6 +37,7 @@ from conftest import gram, make_eval_data
 from oracles import (
     CNOT_MATRIX,
     dual_objective,
+    encode_genome,
     mlp_numeric_grads,
     pareto_front_points,
     peel_fronts,
@@ -92,7 +91,8 @@ def test_criterion_1_encoding_fidelity():
     for gate_code, kind in REFERENCE_GATE_TABLE.items():
         for angle_value in range(16):
             angle_code = format(angle_value, "04b")
-            gene = decode_gate([int(c) for c in gate_code + angle_code])
+            bits = [int(c) for c in gate_code + angle_code]
+            gene = decode_genome(bits, 1, 1, EncodingMode.FIXED_FEATURES).grid[0][0]
             table_ok &= gene.kind is kind and gene.angle_step == angle_value + 1
 
     rng = np.random.default_rng(1001)
@@ -245,7 +245,6 @@ def test_criterion_6_nsga2_correctness(tiny_sep_dataset):
         GaConfig(
             m_qubits=1,
             n_layers=2,
-            mode=EncodingMode.FIXED_FEATURES,
             mu=12,
             lambda_=6,
             max_generations=100,
@@ -267,7 +266,7 @@ def exhaustive_front_runs(tiny_sep_dataset):
     """Criterion 7 computation, shared with the criterion 9 audit."""
     x, y01 = tiny_sep_dataset
     data = make_eval_data(x, y01, seed=0)
-    config = GaConfig(m_qubits=1, n_layers=2, mode=EncodingMode.FIXED_FEATURES, seed=0)
+    config = GaConfig(m_qubits=1, n_layers=2, seed=0)
 
     t0 = time.perf_counter()
     all_fitness = []
@@ -285,7 +284,6 @@ def exhaustive_front_runs(tiny_sep_dataset):
             GaConfig(
                 m_qubits=1,
                 n_layers=2,
-                mode=EncodingMode.FIXED_FEATURES,
                 mu=50,
                 lambda_=20,
                 max_generations=500,

@@ -20,7 +20,7 @@ from qkevolve.cli import (
     run_pipeline,
 )
 from qkevolve.evolve import FitnessPair, Individual, train_individual
-from qkevolve.genome import genome_length, line_to_bits
+from qkevolve.genome import EncodingMode, genome_length, line_to_bits
 from qkevolve.reduce import stratified_split
 
 from oracles import bilinear_reference
@@ -121,6 +121,14 @@ class TestConfigParsing:
         path = write_config(tmp_path / "c.cfg", mode="pca", dataset=".", output_dir=".", bogus=3)
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_file(path)
+
+    @pytest.mark.parametrize("key", ["seed", "lambda"])
+    def test_repeated_key_rejected(self, tmp_path, key):
+        path = write_config(tmp_path / "c.cfg", mode="pca", dataset=".", output_dir=".")
+        path.write_text(path.read_text() + f"{key} = 1\n{key} = 7\n")
+        with pytest.raises(ConfigError, match=f"line 6: duplicate key '{key}'") as excinfo:
+            parse_config_file(path)
+        assert excinfo.value.code == "config-key"
 
     def test_bad_value_rejected(self, tmp_path):
         path = write_config(
@@ -401,6 +409,20 @@ class TestPipeline:
         assert parsed["error"] == "dataset-width"
         assert "63" in parsed["detail"]
 
+    def test_degenerate_split_rejected_before_evolving(self, tmp_path, capsys, caplog):
+        # 4 + 4 rows at test_fraction 0.1 leave no test row
+        csv_path = tmp_path / "tiny.csv"
+        header = ",".join([f"f{i}" for i in range(64)] + ["label"])
+        rng = np.random.default_rng(17)
+        rows = [",".join(f"{v:.6f}" for v in rng.normal(size=64)) + f",{k % 2}" for k in range(8)]
+        csv_path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        cfg = small_run_config(tmp_path, csv_path, "tiny", mode="external", test_fraction=0.1)
+        assert main(["run", "--config", str(cfg)]) == 2
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert parsed["error"] == "input"
+        assert "test_fraction 0.1" in parsed["detail"] and "{0: 4, 1: 4}" in parsed["detail"]
+        assert not any("worst-case" in r.message for r in caplog.records)
+
 
 class TestCommands:
     def test_run_command_exit_zero(self, tmp_path, capsys):
@@ -496,7 +518,7 @@ class TestPrepareData:
         assert np.all(train.min(axis=0)[varying] == -1.0)
         assert np.all(train.max(axis=0)[varying] == 1.0)
         data = prepared.eval_data
-        assert data.pca_scores
+        assert data.mode is EncodingMode.PCA_HEADER
         assert data.x_train.shape == (12, 11) and data.x_test.shape == (4, 11)
         assert set(prepared.class_counts) == {0, 1}
 
@@ -512,7 +534,7 @@ class TestPrepareData:
         fits = []
         monkeypatch.setattr(evolve, "pca_fit", lambda *a: fits.append(a))
         data = prepare_data(config).eval_data
-        assert fits == [] and not data.pca_scores
+        assert fits == [] and data.mode is EncodingMode.FIXED_FEATURES
         assert data.x_train.shape == (45, 64)
         assert data.x_train.min() >= -1.0 and data.x_train.max() <= 1.0
 

@@ -43,7 +43,7 @@ def bits_of(text):
     return np.array([int(ch) for ch in text], dtype=np.uint8)
 
 
-TINY_CONFIG = GaConfig(m_qubits=1, n_layers=2, mode=EncodingMode.FIXED_FEATURES, seed=0)
+TINY_CONFIG = GaConfig(m_qubits=1, n_layers=2, seed=0)
 
 
 class TestDominates:
@@ -110,7 +110,7 @@ class TestEvaluateFitness:
     def test_pca_mode_uses_genome_component_count(self, two_gauss_dataset):
         x, y01 = two_gauss_dataset
         data = make_eval_data(x, y01, pca=True)
-        config = GaConfig(m_qubits=1, n_layers=1, mode=EncodingMode.PCA_HEADER, seed=0)
+        config = GaConfig(m_qubits=1, n_layers=1, seed=0)
         # header 000000 -> 1 component; gate Rx(x0 * pi/8)
         bits = bits_of("0000000" + "0000000")
         fitness = evaluate_fitness(Individual(bits=bits), data, config)
@@ -194,8 +194,8 @@ class TestGramBlocks:
         rng = np.random.default_rng(53)
         kinds = set()
         modes = ((EncodingMode.FIXED_FEATURES, 0), (EncodingMode.PCA_HEADER, HEADER_BITS))
+        config = GaConfig(m_qubits=6, n_layers=4)
         for mode, offset in modes:
-            config = GaConfig(m_qubits=6, n_layers=4, mode=mode)
             for _ in range(6):
                 bits = random_bits(genome_length(6, 4, mode), rng)
                 genes = bits[offset:].reshape(-1, GATE_BITS).copy()
@@ -228,7 +228,7 @@ class TestPcaInputs:
         data = make_eval_data(x[:n_samples], y01[:n_samples], pca=True)
         r_max = min(features.x_train.shape[0] - 1, features.x_train.shape[1], 64)
         assert data.x_train.shape[1] == data.x_test.shape[1] == r_max
-        config = GaConfig(m_qubits=1, n_layers=1, mode=EncodingMode.PCA_HEADER)
+        config = GaConfig(m_qubits=1, n_layers=1)
         counts = {1, r_max // 2, r_max} | ({64} if r_max < 64 else set())
         full = pca_fit(features.x_train)
         for r in sorted(counts):
@@ -259,37 +259,15 @@ class TestPcaInputs:
         monkeypatch.setattr(evolve, "pca_fit", slow_counting_fit)
         data = make_eval_data(x[:60], y01[:60], pca=mode is EncodingMode.PCA_HEADER)
         assert calls == expected_fits
-        config = GaConfig(
-            m_qubits=1, n_layers=2, mode=mode, mu=6, lambda_=4, max_generations=2, patience=0
-        )
+        config = GaConfig(m_qubits=1, n_layers=2, mu=6, lambda_=4, max_generations=2, patience=0)
         run(config, data, threads=2)
         assert calls == expected_fits
-
-
-class TestModeMismatch:
-    """A config run on data of the other mode fails before any evaluation,
-    and is not absorbed into worst-case fitness."""
-
-    @pytest.mark.parametrize("mode", list(EncodingMode))
-    def test_run_raises_before_evaluating(self, two_gauss_dataset, monkeypatch, caplog, mode):
-        x, y01 = two_gauss_dataset
-        wrong = make_eval_data(x[:60], y01[:60], pca=mode is not EncodingMode.PCA_HEADER)
-        simulated = []
-        monkeypatch.setattr(evolve, "evaluate_states", lambda *a: simulated.append(a))
-        config = GaConfig(m_qubits=1, n_layers=2, mode=mode, mu=6, lambda_=4, max_generations=2)
-        with pytest.raises(TypeError, match="config run on"):
-            run(config, wrong, threads=2)
-        bits = np.zeros(genome_length(1, 2, mode), dtype=np.uint8)
-        with pytest.raises(TypeError, match="config run on"):
-            evaluate_fitness(Individual(bits=bits), wrong, config)
-        assert simulated == []
-        assert not any("worst-case" in r.message for r in caplog.records)
 
 
 class TestFlipbitMutation:
     def test_p_ind_zero_never_mutates(self):
         rng = np.random.default_rng(1)
-        config = GaConfig(m_qubits=1, n_layers=2, mode=EncodingMode.FIXED_FEATURES, p_ind=0.0)
+        config = GaConfig(m_qubits=1, n_layers=2, p_ind=0.0)
         ind = Individual(bits=bits_of("01" * 7), fitness=fp(0.5, 1.0))
         for _ in range(50):
             out = flipbit_mutation(ind, config, rng)
@@ -297,9 +275,7 @@ class TestFlipbitMutation:
 
     def test_full_probabilities_complement(self):
         rng = np.random.default_rng(2)
-        config = GaConfig(
-            m_qubits=1, n_layers=2, mode=EncodingMode.FIXED_FEATURES, p_ind=1.0, p_gen=1.0
-        )
+        config = GaConfig(m_qubits=1, n_layers=2, p_ind=1.0, p_gen=1.0)
         ind = Individual(bits=bits_of("01100110011001"), fitness=fp(0.5, 1.0))
         out = flipbit_mutation(ind, config, rng)
         assert np.array_equal(out.bits, 1 - ind.bits)
@@ -307,19 +283,15 @@ class TestFlipbitMutation:
 
     def test_flip_fraction_matches_binomial_expectation(self):
         rng = np.random.default_rng(3)
-        config = GaConfig(
-            m_qubits=1, n_layers=2, mode=EncodingMode.FIXED_FEATURES, p_ind=1.0, p_gen=0.3
-        )
+        config = GaConfig(m_qubits=1, n_layers=2, p_ind=1.0, p_gen=0.3)
         ind = Individual(bits=np.zeros(100_000, dtype=np.uint8))
         out = flipbit_mutation(ind, config, rng)
         assert out.bits.mean() == pytest.approx(0.3, abs=0.01)
 
     def test_length_preserved(self):
         rng = np.random.default_rng(4)
-        config = GaConfig(
-            m_qubits=2, n_layers=3, mode=EncodingMode.FIXED_FEATURES, p_ind=0.7, p_gen=0.5
-        )
-        bits = rng.integers(0, 2, genome_length(2, 3, config.mode), dtype=np.uint8)
+        config = GaConfig(m_qubits=2, n_layers=3, p_ind=0.7, p_gen=0.5)
+        bits = rng.integers(0, 2, genome_length(2, 3, EncodingMode.FIXED_FEATURES), dtype=np.uint8)
         for _ in range(30):
             out = flipbit_mutation(Individual(bits=bits), config, rng)
             assert out.bits.size == bits.size
@@ -431,7 +403,6 @@ class TestRun:
         params = dict(
             m_qubits=1,
             n_layers=2,
-            mode=EncodingMode.FIXED_FEATURES,
             mu=12,
             lambda_=6,
             max_generations=25,

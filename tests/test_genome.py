@@ -11,13 +11,13 @@ from qkevolve.genome import (
     GateKind,
     angle_text,
     bits_to_line,
-    decode_gate,
     decode_genome,
-    encode_genome,
     genome_length,
     line_to_bits,
     random_bits,
 )
+
+from oracles import encode_genome
 
 # The complete 3-bit gate table and 4-bit angle table, written out in full so
 # the decoder is pinned cell-for-cell.
@@ -43,11 +43,16 @@ def bits_of(text):
     return np.array([int(ch) for ch in text], dtype=np.uint8)
 
 
+def decode_field(bits):
+    """One 7-bit field through the pipeline's decoder, as a 1x1 grid."""
+    return decode_genome(bits, 1, 1, EncodingMode.FIXED_FEATURES).grid[0][0]
+
+
 class TestDecodeTable:
     def test_all_128_patterns(self):
         for gate_code, kind in GATE_TABLE.items():
             for angle_code, step in ANGLE_TABLE.items():
-                gene = decode_gate(bits_of(gate_code + angle_code))
+                gene = decode_field(bits_of(gate_code + angle_code))
                 assert gene.kind is kind
                 assert gene.angle_step == step
 
@@ -60,7 +65,7 @@ class TestDecodeTable:
         ],
     )
     def test_reference_examples(self, code, kind, angle):
-        gene = decode_gate(bits_of(code))
+        gene = decode_field(bits_of(code))
         assert gene.kind is kind
         if angle is not None:
             assert gene.angle == pytest.approx(angle, abs=1e-15)
@@ -68,11 +73,11 @@ class TestDecodeTable:
     def test_decode_is_total(self):
         for value in range(128):
             bits = [(value >> (6 - b)) & 1 for b in range(7)]
-            decode_gate(bits)  # must not raise
+            decode_field(bits)  # must not raise
 
     def test_wrong_width_rejected(self):
-        with pytest.raises(ValueError):
-            decode_gate([0, 1, 0])
+        with pytest.raises(ValueError, match="length mismatch"):
+            decode_field([0, 1, 0])
 
 
 class TestGenomeLength:

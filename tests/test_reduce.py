@@ -255,6 +255,18 @@ class TestStratifiedSplit:
         with pytest.raises(ValueError):
             stratified_split(np.zeros((4, 1)), y, 0.25, seed=0)
 
+    def test_empty_test_set_rejected(self):
+        # floor(8 * 0.1) = 0 test rows
+        y = np.array([0] * 4 + [1] * 4)
+        with pytest.raises(ValueError, match=r"test_fraction 0.1 .*\{0: 4, 1: 4\}.* no test row"):
+            stratified_split(np.zeros((8, 1)), y, 0.1, seed=0)
+
+    def test_class_without_training_row_rejected(self):
+        # target floor(4 * 0.9) = 3; floors are 1 and 1; the remainder takes class 0's last row
+        y = np.array([0, 0, 1, 1])
+        with pytest.raises(ValueError, match=r"test_fraction 0.9 .* no training row in class 0"):
+            stratified_split(np.zeros((4, 1)), y, 0.9, seed=0)
+
     @given(
         st.lists(st.integers(0, 1), min_size=8, max_size=60),
         st.integers(0, 1000),
