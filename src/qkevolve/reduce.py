@@ -60,29 +60,34 @@ def standardize_apply(params: StandardizationParams, x: np.ndarray) -> np.ndarra
 class PcaModel:
     mean: np.ndarray
     components: np.ndarray  # r x d, orthonormal rows, by non-increasing variance
+    scores: np.ndarray  # n x r, the training rows' scores on those components
 
 
-def pca_fit(train: np.ndarray) -> PcaModel:
-    """All min(n-1, d) principal directions of the centered training rows C
-    (n x d), from the eigendecomposition of the smaller Gram matrix.
+def pca_fit(train: np.ndarray, r: int) -> PcaModel:
+    """The leading min(max(1, r), n-1, d) principal directions of the centered
+    training rows C (n x d), from the eigendecomposition of the smaller Gram
+    matrix, together with the training rows' scores on them.
 
-    With n <= d that is C C^T (n x n), and component k is v_k^T C / sqrt(l_k)
-    for its k-th largest eigenpair (v_k, l_k), the "snapshot" form of PCA
-    (Turk & Pentland, 1991); otherwise it is the k-th eigenvector of C^T C
-    (d x d). Rows are centered through the first row, so a feature that is
-    constant over the training rows centers to exact zeros. A component whose
-    training variance is numerically zero, l_k <= n * eps * l_1 (which covers
-    l_1 = 0), comes back as a zero row, with one warning giving the count.
+    With n <= d that is C C^T (n x n): component k is v_k^T C / sqrt(l_k) for
+    its k-th largest eigenpair (v_k, l_k), the "snapshot" form of PCA (Turk &
+    Pentland, 1991), and the training scores are v_k sqrt(l_k), so only the r
+    d-wide rows asked for are formed and the training rows are not projected
+    again. Otherwise component k is the k-th eigenvector of C^T C (d x d), and
+    the scores are the training rows projected as `pca_transform` projects
+    them. Rows are centered through the first row, so a feature that is
+    constant over the training rows centers to exact zeros. A fitted component
+    whose training variance is numerically zero, l_k <= n * eps * l_1 (which
+    covers l_1 = 0), comes back as a zero row with zero scores, with one
+    warning giving the count among the fitted components.
 
     Component signs are fixed so the largest-magnitude loading of each
-    component is positive, making the decomposition deterministic. Use
-    `pca_slice` for fewer components.
+    component is positive, making the decomposition deterministic.
     """
     train = np.atleast_2d(np.asarray(train, dtype=float))
     n, d = train.shape
     if n < 2:
         raise ValueError("PCA requires at least two training rows")
-    r = min(n - 1, d)
+    r = int(min(max(1, r), n - 1, d))
     centered = train - train[0]
     shift = centered.mean(axis=0)
     centered -= shift
@@ -97,11 +102,16 @@ def pca_fit(train: np.ndarray) -> PcaModel:
         components /= np.sqrt(np.where(null, 1.0, eigvals))[:, None]
     else:
         components = eigvecs.T
-    del centered  # freed before the full-size |components| below
+    del centered  # freed before the |components| of the sign rule below
     components[null] = 0.0
     flip = np.where(components[np.arange(r), np.abs(components).argmax(axis=1)] < 0, -1.0, 1.0)
     components *= flip[:, None]
-    return PcaModel(mean=train[0] + shift, components=components)
+    mean = train[0] + shift
+    if snapshot:
+        scores = eigvecs * (np.sqrt(np.where(null, 0.0, eigvals)) * flip)
+    else:
+        scores = (train - mean) @ components.T
+    return PcaModel(mean=mean, components=components, scores=scores)
 
 
 def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
@@ -114,10 +124,12 @@ def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
 
 
 def pca_slice(model: PcaModel, r: int) -> PcaModel:
-    """The one truncation of a fitted model: its leading components, r
+    """A fitted model's leading components and their training scores, r
     clamped to [1, the count it holds]."""
     r_eff = int(min(max(1, r), model.components.shape[0]))
-    return PcaModel(mean=model.mean, components=model.components[:r_eff])
+    return PcaModel(
+        mean=model.mean, components=model.components[:r_eff], scores=model.scores[:, :r_eff]
+    )
 
 
 def check_test_fraction(test_fraction: float) -> None:

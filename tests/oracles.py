@@ -277,18 +277,22 @@ def reference_standardize_apply(params: StandardizationParams, x: np.ndarray) ->
 
 
 def svd_pca(train: np.ndarray, r: int) -> PcaModel:
-    """Top-r principal directions from the thin SVD of the centered rows, with
-    r clamped to [1, min(n-1, d)] as `pca_slice(pca_fit(train), r)` clamps it,
-    and `pca_fit`'s sign rule (largest-magnitude loading positive). Directions
-    of zero variance are whatever the SVD returns for the null space."""
+    """Top-r principal directions from the thin SVD U S V^T of the centered
+    rows, with r clamped to [1, min(n-1, d)] as `pca_fit` clamps it, and
+    `pca_fit`'s sign rule (largest-magnitude loading positive). The training
+    scores are U S, read off the SVD rather than projected, signed with the
+    components. Directions of zero variance are whatever the SVD returns for
+    the null space."""
     train = np.atleast_2d(np.asarray(train, dtype=float))
     n, d = train.shape
     r_eff = int(min(max(1, r), n - 1, d))
     mean = train.mean(axis=0)
-    _, _, vt = np.linalg.svd(train - mean, full_matrices=False)
+    u, s, vt = np.linalg.svd(train - mean, full_matrices=False)
     components = vt[:r_eff]
     flip = np.where(components[np.arange(r_eff), np.abs(components).argmax(axis=1)] < 0, -1.0, 1.0)
-    return PcaModel(mean=mean, components=components * flip[:, None])
+    return PcaModel(
+        mean=mean, components=components * flip[:, None], scores=u[:, :r_eff] * (s[:r_eff] * flip)
+    )
 
 
 def forward(model, x: np.ndarray) -> np.ndarray:

@@ -64,14 +64,14 @@ class TestPca:
     def test_rank_one_data_captures_all_variance(self):
         t = np.linspace(-2, 2, 30)
         data = np.stack([t, 3.0 * t], axis=1)
-        scores = pca_transform(pca_slice(pca_fit(data), 1), data)
+        scores = pca_transform(pca_fit(data, 1), data)
         total = np.var(data, axis=0, ddof=1).sum()
         assert np.var(scores[:, 0], ddof=1) == pytest.approx(total, rel=1e-10)
 
     def test_full_rank_transform_is_isometry(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=(30, 5))
-        model = pca_fit(data)
+        model = pca_fit(data, 5)
         assert model.components.shape == (5, 5)
         proj = pca_transform(model, data)
         d_orig = np.linalg.norm(data[:, None] - data[None, :], axis=2)
@@ -81,7 +81,7 @@ class TestPca:
     def test_reconstruction_error_non_increasing_in_r(self):
         rng = np.random.default_rng(11)
         data = rng.normal(size=(20, 10))
-        full = pca_fit(data)
+        full = pca_fit(data, 10)
         errors = []
         for r in range(1, 11):
             model = pca_slice(full, r)
@@ -97,7 +97,7 @@ class TestPca:
             d = int(rng.integers(2, 15))
             r = int(rng.integers(1, min(n - 1, d) + 1))
             data = rng.normal(size=(n, d))
-            model = pca_slice(pca_fit(data), r)
+            model = pca_fit(data, r)
             gram = model.components @ model.components.T
             assert np.allclose(gram, np.eye(r), atol=1e-8)
             variances = np.var(pca_transform(model, data), axis=0, ddof=1)
@@ -106,15 +106,18 @@ class TestPca:
     def test_out_of_range_components_clamped(self):
         rng = np.random.default_rng(17)
         for shape, held in (((5, 3), 3), ((4, 9), 3)):  # min(n - 1, d) components
-            full = pca_fit(rng.normal(size=shape))
+            data = rng.normal(size=shape)
+            full = pca_fit(data, held)
             assert full.components.shape == (held, shape[1])
             for r, kept in ((50, held), (held + 1, held), (0, 1), (-2, 1)):
-                assert pca_slice(full, r).components.shape == (kept, shape[1])
+                for model in (pca_fit(data, r), pca_slice(full, r)):
+                    assert model.components.shape == (kept, shape[1])
+                    assert model.scores.shape == (shape[0], kept)
 
     def test_deterministic_including_signs(self):
         rng = np.random.default_rng(19)
         data = rng.normal(size=(12, 6))
-        m1, m2 = pca_slice(pca_fit(data), 4), pca_slice(pca_fit(data), 4)
+        m1, m2 = pca_fit(data, 4), pca_fit(data, 4)
         assert np.array_equal(m1.components, m2.components)
         # fixed convention: the largest loading of each component is positive
         peaks = m1.components[np.arange(4), np.abs(m1.components).argmax(axis=1)]
@@ -123,23 +126,24 @@ class TestPca:
     def test_slice_is_leading_rows_of_full_fit(self):
         rng = np.random.default_rng(23)
         data = rng.normal(size=(15, 8))
-        full = pca_fit(data)
+        full = pca_fit(data, 8)
         for r in (1, 3, 7, 20):
             sliced = pca_slice(full, r)
             assert sliced.components.tobytes() == full.components[: min(r, 8)].tobytes()
+            assert sliced.scores.tobytes() == full.scores[:, : min(r, 8)].tobytes()
             assert sliced.mean is full.mean
             # truncating in steps is truncating once
             twice = pca_slice(pca_slice(full, 7), r)
             assert twice.components.tobytes() == pca_slice(full, min(r, 7)).components.tobytes()
 
     def test_transform_dimension_mismatch(self):
-        model = pca_slice(pca_fit(np.random.default_rng(2).normal(size=(6, 4))), 2)
+        model = pca_fit(np.random.default_rng(2).normal(size=(6, 4)), 2)
         with pytest.raises(ValueError, match="mismatch"):
             pca_transform(model, np.zeros((3, 5)))
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
-            pca_fit(np.ones((1, 4)))
+            pca_fit(np.ones((1, 4)), 1)
 
 
 # Both sides of the Gram eigendecomposition: n <= d takes C C^T, n > d takes C^T C.
@@ -152,36 +156,47 @@ class TestPcaAgainstSvd:
         rng = np.random.default_rng(37)
         train = rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, size=d)
         held_out = rng.normal(size=(10, d))
-        model = pca_fit(train)
+        model = pca_fit(train, n)
         oracle = svd_pca(train, n - 1)
         for x in (train, held_out):
             np.testing.assert_allclose(
                 pca_transform(model, x), pca_transform(oracle, x), rtol=0, atol=1e-10
             )
+        # the training scores the fit returns, against the SVD's U S and a projection
+        np.testing.assert_allclose(model.scores, oracle.scores, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(model.scores, pca_transform(model, train), rtol=0, atol=1e-10)
+
+    def test_tall_side_scores_are_the_projection_byte_for_byte(self):
+        # n > d: the scores are the training rows projected as pca_transform projects them
+        rng = np.random.default_rng(53)
+        train = rng.normal(size=(60, 8)) * rng.uniform(0.5, 2.0, size=8)
+        for r in (1, 3, 7, 8):
+            model = pca_fit(train, r)
+            assert model.scores.tobytes() == pca_transform(model, train).tobytes()
 
     @pytest.mark.parametrize("n, d", SHAPES)
     def test_components_orthonormal(self, n, d):
         rng = np.random.default_rng(43)
-        r = min(n - 1, d)
-        components = pca_fit(rng.normal(size=(n, d))).components
-        assert components.shape == (r, d)
-        np.testing.assert_allclose(components @ components.T, np.eye(r), rtol=0, atol=1e-10)
+        data = rng.normal(size=(n, d))
+        for r in (-1, 0, 1, 5, min(n - 1, d), n + d):
+            components = pca_fit(data, r).components
+            r_eff = min(max(r, 1), n - 1, d)
+            assert components.shape == (r_eff, d)
+            np.testing.assert_allclose(
+                components @ components.T, np.eye(r_eff), rtol=0, atol=1e-10
+            )
 
     @pytest.mark.parametrize("n, d", SHAPES)
     def test_sliced_scores_are_leading_score_columns(self, n, d):
-        # what a run relies on: scores projected once, then cut per individual
+        # what a run relies on: scores computed once, then cut per individual
         rng = np.random.default_rng(47)
         train = rng.normal(size=(n, d))
-        full = pca_fit(train)
-        scores = pca_transform(full, train)
+        scores = pca_fit(train, n).scores
         for r in (1, 2, 5, min(n - 1, d)):
-            sliced = pca_slice(full, r)
+            fitted = pca_fit(train, r)
+            np.testing.assert_allclose(fitted.scores, scores[:, :r], rtol=0, atol=1e-10)
             np.testing.assert_allclose(
-                pca_transform(sliced, train), scores[:, :r], rtol=0, atol=1e-10
-            )
-            np.testing.assert_allclose(
-                pca_transform(sliced, train), pca_transform(svd_pca(train, r), train),
-                rtol=0, atol=1e-10,
+                fitted.scores, pca_transform(svd_pca(train, r), train), rtol=0, atol=1e-10
             )
 
     @pytest.mark.parametrize(
@@ -199,21 +214,24 @@ class TestPcaAgainstSvd:
             train = np.full((n, d), 0.1)  # its mean is not exactly 0.1 in floating point
         rank = np.linalg.matrix_rank(train - train[0])
         r = min(n - 1, d)
-        model = pca_fit(train)
-        assert np.isfinite(model.components).all()
+        model = pca_fit(train, r)
+        assert np.isfinite(model.components).all() and np.isfinite(model.scores).all()
         assert not model.components[rank:].any()
+        assert not model.scores[:, rank:].any()
         kept = model.components[:rank]
         np.testing.assert_allclose(kept @ kept.T, np.eye(rank), rtol=0, atol=1e-10)
         if rank:
+            oracle = pca_transform(svd_pca(train, rank), train)
             np.testing.assert_allclose(
-                pca_transform(model, train)[:, :rank],
-                pca_transform(svd_pca(train, rank), train),
-                rtol=0,
-                atol=1e-10,
+                pca_transform(model, train)[:, :rank], oracle, rtol=0, atol=1e-10
             )
+            np.testing.assert_allclose(model.scores[:, :rank], oracle, rtol=0, atol=1e-10)
+        # the warning counts only the components fitted
+        pca_fit(train, rank + 2)
         messages = [rec.getMessage() for rec in caplog.records]
         assert [m for m in messages if "zero training variance" in m] == [
-            f"{r - rank} of {r} PCA components have zero training variance"
+            f"{r - rank} of {r} PCA components have zero training variance",
+            f"2 of {rank + 2} PCA components have zero training variance",
         ]
 
 
@@ -298,8 +316,8 @@ class TestNoLeakage:
         p1, p2 = standardize_fit(x[train]), standardize_fit(perturbed[train])
         assert p1.feature_min.tobytes() == p2.feature_min.tobytes()
         assert p1.feature_max.tobytes() == p2.feature_max.tobytes()
-        m1 = pca_fit(standardize_apply(p1, x[train]))
-        m2 = pca_fit(standardize_apply(p2, perturbed[train]))
+        m1 = pca_fit(standardize_apply(p1, x[train]), 6)
+        m2 = pca_fit(standardize_apply(p2, perturbed[train]), 6)
         assert m1.components.tobytes() == m2.components.tobytes()
         assert m1.mean.tobytes() == m2.mean.tobytes()
 
