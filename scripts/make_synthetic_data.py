@@ -2,7 +2,8 @@
 """Generate synthetic demo datasets: a two-class grayscale PGM tree for the
 PCA-mode pipeline and a 64-feature CSV for the external-features mode.
 
-Usage: python scripts/make_synthetic_data.py OUTDIR [--samples N] [--seed S]
+Usage: python scripts/make_synthetic_data.py OUTDIR [--samples N] [--image-side SIDE]
+       [--seed S]
 """
 
 import argparse

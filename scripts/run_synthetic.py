@@ -4,7 +4,8 @@
 Builds the synthetic image dataset, writes a config, runs the PCA-mode
 evolution plus the classical baseline and prints the headline numbers.
 
-Usage: python scripts/run_synthetic.py WORKDIR [--generations G] [--seed S]
+Usage: python scripts/run_synthetic.py WORKDIR [--generations G] [--qubits M]
+       [--layers L] [--seed S]
 """
 
 import argparse

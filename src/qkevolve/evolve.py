@@ -34,8 +34,8 @@ from .genome import (
     random_bits,
 )
 # Called through this module's names from `project_pca`, which is where the
-# benchmark traces them. The benchmark also looks up `pca_slice` here, though
-# no pipeline path calls it any more; ROADMAP item 4 removes that target.
+# benchmark traces them. The benchmark also looks up `pca_slice` here, which
+# no pipeline path calls; ROADMAP item 4 drops that target and this import.
 from .reduce import pca_fit, pca_slice, pca_transform  # noqa: F401
 from .svm import SvmConfig
 

@@ -45,10 +45,10 @@ RUNS = {
     "external": (8, "external", "features.csv"),
 }
 DATA_SEEDS = {8: 3, 16: 4}
-RUN_SETTINGS = dict(
-    qubits=2, layers=3, mu=10, lambda_=6, generations=5, patience=0, seed=5,
-    baseline="true", baseline_epochs=40,
-)
+RUN_SETTINGS = {
+    "qubits": 2, "layers": 3, "mu": 10, "lambda": 6, "generations": 5, "patience": 0, "seed": 5,
+    "baseline": "true", "baseline_epochs": 40,
+}
 
 # The SVM dual stops once every KKT violation is below its tol (1e-6), so a
 # kernel that differs from the pinned one in the last bits, from another BLAS
@@ -80,9 +80,8 @@ def run_reference(name: str, data_dirs: dict[int, Path], workdir: Path) -> dict:
     archive members, and history.csv minus its wall-clock column."""
     side, mode, dataset = RUNS[name]
     out = workdir / name
-    settings = {"lambda" if k == "lambda_" else k: v for k, v in RUN_SETTINGS.items()}
     lines = [f"mode = {mode}", f"dataset = {data_dirs[side] / dataset}", f"output_dir = {out}",
-             f"image_size = {side}"] + [f"{k} = {v}" for k, v in settings.items()]
+             f"image_size = {side}"] + [f"{k} = {v}" for k, v in RUN_SETTINGS.items()]
     config = workdir / f"{name}.cfg"
     config.write_text("\n".join(lines) + "\n")
 
