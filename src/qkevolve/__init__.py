@@ -11,7 +11,6 @@ from .genome import (
 from .circuit import FeatureMapCircuit, build_feature_map, complexity, evaluate_states
 from .svm import SvmConfig, TrainedQSVM, accuracy, fit, predict
 from .reduce import (
-    FeatureMatrix,
     PcaModel,
     StandardizationParams,
     load_external_features,

@@ -6,9 +6,10 @@ Subcommands:
   inspect   --genome BITS --config FILE   decode and print one individual
   baseline  --config FILE   classical PCA(64)+MLP comparison only
 
-The config file is flat `key = value` text, one key per line, '#' comments
-allowed (schema in the README). Outputs land in the configured output
-directory as report.json, history.csv and archive.json.
+The config file is flat `key = value` text, one key per line; a '#' at the
+start of a line or after whitespace starts a comment (schema in the README).
+Outputs land in the configured output directory as report.json, history.csv
+and archive.json.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import csv
 import json
 import logging
+import re
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields
@@ -38,7 +40,6 @@ from .evolve import (
 )
 from .genome import EncodingMode, bits_to_line, decode_genome, line_to_bits
 from .reduce import (
-    FeatureMatrix,
     check_test_fraction,
     load_external_features,
     standardize_apply,
@@ -143,7 +144,8 @@ def parse_config_file(path, require_dataset: bool = True) -> RunConfig:
         raise ConfigError("config-missing", f"config file not found: {path}")
     values: dict = {}
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # a '#' inside a value, as in a path `run#1`, is part of the value
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -263,12 +265,12 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - wy) + bottom * wy
 
 
-def load_image_dataset(root, image_size: int = 250) -> FeatureMatrix:
-    """Load a two-class grayscale image tree: one subdirectory per class,
-    labels 0/1 assigned by lexicographic directory order. Every image is
-    resized to image_size x image_size and flattened row-major into one
-    preallocated (files x d) matrix; unreadable files are skipped with a
-    warning, and the matrix is then cut to the readable rows."""
+def load_image_dataset(root, image_size: int = 250) -> tuple[np.ndarray, np.ndarray]:
+    """Load a two-class grayscale image tree as (rows, labels): one
+    subdirectory per class, labels 0/1 assigned by lexicographic directory
+    order. Every image is resized to image_size x image_size and flattened
+    row-major into one preallocated (files x d) matrix; unreadable files are
+    skipped with a warning, and the matrix is then cut to the readable rows."""
     root = Path(root)
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if len(class_dirs) != 2:
@@ -295,7 +297,7 @@ def load_image_dataset(root, image_size: int = 250) -> FeatureMatrix:
         log.warning("skipped %d unreadable images under %s", n_files - n, root)
         # a copy, so the full (files x d) buffer is freed rather than kept as a base
         rows, labels = rows[:n].copy(), labels[:n].copy()
-    return FeatureMatrix(rows=rows, labels=labels)
+    return rows, labels
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +307,8 @@ def load_image_dataset(root, image_size: int = 250) -> FeatureMatrix:
 @dataclass
 class PreparedData:
     eval_data: EvalData
-    labels01_train: np.ndarray
-    labels01_test: np.ndarray
     train_indices: np.ndarray
     test_indices: np.ndarray
-    class_counts: dict
 
 
 def prepare_data(config: RunConfig) -> PreparedData:
@@ -319,22 +318,21 @@ def prepare_data(config: RunConfig) -> PreparedData:
     matrix is dropped as soon as the next step no longer needs it."""
     mode = config.encoding_mode
     if mode is EncodingMode.PCA_HEADER:
-        dataset = load_image_dataset(config.dataset, config.image_size)
+        rows, labels = load_image_dataset(config.dataset, config.image_size)
     else:
         try:
-            dataset = load_external_features(config.dataset)
+            rows, labels = load_external_features(config.dataset)
         except ValueError as exc:
             raise ConfigError("dataset-format", str(exc)) from None
-        if dataset.rows.shape[1] != EXTERNAL_FEATURE_DIM:
+        if rows.shape[1] != EXTERNAL_FEATURE_DIM:
             raise ConfigError(
                 "dataset-width",
                 f"external feature files must have exactly {EXTERNAL_FEATURE_DIM} feature "
-                f"columns, found {dataset.rows.shape[1]}",
+                f"columns, found {rows.shape[1]}",
             )
-    labels = dataset.labels
-    train_idx, test_idx = stratified_split(dataset.rows, labels, config.test_fraction, config.seed)
-    train_rows, test_rows = dataset.rows[train_idx], dataset.rows[test_idx]
-    del dataset
+    train_idx, test_idx = stratified_split(rows, labels, config.test_fraction, config.seed)
+    train_rows, test_rows = rows[train_idx], rows[test_idx]
+    del rows
     params = standardize_fit(train_rows)
     x_train = standardize_apply(params, train_rows)
     del train_rows
@@ -342,23 +340,17 @@ def prepare_data(config: RunConfig) -> PreparedData:
     del test_rows
     if mode is EncodingMode.PCA_HEADER:
         x_train, x_test = evolve.project_pca(x_train, x_test)
-    y01_train = labels[train_idx]
-    y01_test = labels[test_idx]
-    classes, counts = np.unique(labels, return_counts=True)
     return PreparedData(
         eval_data=EvalData(
             x_train=x_train,
-            y_train=y01_train * 2 - 1,
+            y_train=labels[train_idx] * 2 - 1,
             x_test=x_test,
-            y_test=y01_test * 2 - 1,
+            y_test=labels[test_idx] * 2 - 1,
             svm_config=config.svm_config(),
             mode=mode,
         ),
-        labels01_train=y01_train,
-        labels01_test=y01_test,
         train_indices=train_idx,
         test_indices=test_idx,
-        class_counts={int(c): int(n) for c, n in zip(classes, counts)},
     )
 
 
@@ -384,16 +376,13 @@ def run_baseline(config: RunConfig, prepared: PreparedData) -> dict:
     x_train, x_test = data.x_train, data.x_test
     if data.mode is EncodingMode.FIXED_FEATURES:
         x_train, x_test = evolve.project_pca(x_train, x_test)
+    y01_train, y01_test = (data.y_train + 1) // 2, (data.y_test + 1) // 2
     model = baseline_mod.train(
-        x_train,
-        prepared.labels01_train,
-        lr=config.baseline_lr,
-        epochs=config.baseline_epochs,
-        seed=config.seed,
+        x_train, y01_train, lr=config.baseline_lr, epochs=config.baseline_epochs, seed=config.seed
     )
     return {
-        "accuracy": baseline_mod.evaluate(model, x_test, prepared.labels01_test),
-        "train_accuracy": baseline_mod.evaluate(model, x_train, prepared.labels01_train),
+        "accuracy": baseline_mod.evaluate(model, x_test, y01_test),
+        "train_accuracy": baseline_mod.evaluate(model, x_train, y01_train),
         "pca_components": int(x_train.shape[1]),
         "hidden_dim": model.hidden_dim,
         "learning_rate": config.baseline_lr,
@@ -402,68 +391,59 @@ def run_baseline(config: RunConfig, prepared: PreparedData) -> dict:
     }
 
 
-@dataclass
-class RunReport:
-    config: dict
-    dataset: dict
-    best: dict
-    archive: list
-    baseline: dict | None
-    history_file: str
-    total_evaluations: int
-    generations_run: int
-    generation0: dict
-    provenance: dict
-    wall_clock_seconds: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+def _make_output_dir(config: RunConfig) -> Path:
+    """Create the output directory, so an unusable one fails before any work."""
+    try:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("output-dir", f"cannot create {config.output_dir}: {exc}") from None
+    return config.output_dir
 
 
-def run_pipeline(config: RunConfig) -> RunReport:
-    """Execute the configured run and write report.json, history.csv and
-    archive.json into the output directory."""
+def run_pipeline(config: RunConfig) -> dict:
+    """Execute the configured run, write report.json, history.csv and
+    archive.json into the output directory, and return the report."""
     t0 = time.perf_counter()
+    out = _make_output_dir(config)
     prepared = prepare_data(config)
+    data = prepared.eval_data
     ga_config = config.ga_config()
-    result = run_ga(ga_config, prepared.eval_data)
+    result = run_ga(ga_config, data)
 
     baseline_report = run_baseline(config, prepared) if config.baseline else None
 
-    gen0_complexities = sorted(i.fitness.complexity for i in result.initial_population)
-    best_record = _individual_record(result.best, config, prepared)
+    gen0 = result.initial_population
+    archive = [_individual_record(ind, config, prepared) for ind in result.archive]
     # Retrain the winner on the same split so its dual solution lands in the report.
-    _, best_qsvm, _ = train_individual(result.best.bits, prepared.eval_data, ga_config)
-    best_record["qsvm"] = best_qsvm.summary()
-    report = RunReport(
-        config=config.echo(),
-        dataset={
-            "n_samples": int(prepared.labels01_train.size + prepared.labels01_test.size),
-            "class_counts": prepared.class_counts,
+    _, best_qsvm, _ = train_individual(result.archive[0].bits, data, ga_config)
+    labels = np.concatenate([data.y_train, data.y_test])
+    report = {
+        "config": config.echo(),
+        "dataset": {
+            "n_samples": int(labels.size),
+            "class_counts": {0: int((labels < 0).sum()), 1: int((labels > 0).sum())},
             "n_train": int(prepared.train_indices.size),
             "n_test": int(prepared.test_indices.size),
             "train_indices": prepared.train_indices.tolist(),
             "test_indices": prepared.test_indices.tolist(),
         },
-        best=best_record,
-        archive=[_individual_record(ind, config, prepared) for ind in result.archive],
-        baseline=baseline_report,
-        history_file="history.csv",
-        total_evaluations=result.evaluations,
-        generations_run=result.generations_run,
-        generation0={
-            "median_complexity": float(np.median(gen0_complexities)),
-            "best_accuracy": max(i.fitness.accuracy for i in result.initial_population),
+        "best": {**archive[0], "qsvm": best_qsvm.summary()},
+        "archive": archive,
+        "baseline": baseline_report,
+        "history_file": "history.csv",
+        "total_evaluations": result.evaluations,
+        "generations_run": len(result.history),
+        "generation0": {
+            "median_complexity": float(np.median([i.fitness.complexity for i in gen0])),
+            "best_accuracy": max(i.fitness.accuracy for i in gen0),
         },
-        provenance={
+        "provenance": {
             "image_resize": "bilinear, half-pixel centers",
             "intensity_scale": "[0, 1] at decode, then per-feature [-1, 1] on the training split",
         },
-        wall_clock_seconds=time.perf_counter() - t0,
-    )
+        "wall_clock_seconds": time.perf_counter() - t0,
+    }
 
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "history.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         columns = [f.name for f in fields(HistoryRow)]
@@ -474,9 +454,9 @@ def run_pipeline(config: RunConfig) -> RunReport:
                 for name, value in zip(columns, astuple(row))
             )
     with open(out / "archive.json", "w") as fh:
-        json.dump(report.archive, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        json.dump(archive, fh, indent=2, sort_keys=True, ensure_ascii=False)
     with open(out / "report.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True, ensure_ascii=False)
+        json.dump(report, fh, indent=2, sort_keys=True, ensure_ascii=False)
     return report
 
 
@@ -487,11 +467,11 @@ def run_pipeline(config: RunConfig) -> RunReport:
 def _cmd_run(args) -> int:
     config = parse_config_file(args.config)
     report = run_pipeline(config)
-    best = report.best
+    best = report["best"]
     print(
         f"run complete: best accuracy {best['accuracy']:.4f}, "
         f"complexity {best['complexity']:.3f}, O_B {best['objective_balance']:.4f}, "
-        f"archive size {len(report.archive)}, report in {config.output_dir}"
+        f"archive size {len(report['archive'])}, report in {config.output_dir}"
     )
     return 0
 
@@ -521,10 +501,9 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_baseline(args) -> int:
     config = parse_config_file(args.config)
-    prepared = prepare_data(config)
-    result = run_baseline(config, prepared)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    with open(config.output_dir / "baseline.json", "w") as fh:
+    out = _make_output_dir(config)
+    result = run_baseline(config, prepare_data(config))
+    with open(out / "baseline.json", "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
     print(json.dumps(result, sort_keys=True))
     return 0

@@ -325,11 +325,12 @@ class HistoryRow:
 @dataclass
 class RunResult:
     archive: list[Individual]
-    best: Individual
-    history: list[HistoryRow]
+    history: list[HistoryRow]  # one row per generation run, at least one
     initial_population: list[Individual]
-    evaluations: int
-    generations_run: int
+
+    @property
+    def evaluations(self) -> int:
+        return self.history[-1].evaluations
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -350,8 +351,8 @@ def run(
     pool of `threads` workers). It then selects the next mu from parents plus
     offspring. The Pareto archive is updated every generation and the run
     stops at max_generations or when the archive has not changed for
-    `patience` generations. The best individual is the archive member with
-    maximum accuracy, ties broken by minimum O_B and then by eval_id.
+    `patience` generations. The best individual is the archive's first
+    member: maximum accuracy, ties broken by minimum O_B and then by eval_id.
     """
     length = genome_length(config.m_qubits, config.n_layers, data.mode)
     cache: dict[bytes, FitnessPair] = {}
@@ -382,7 +383,6 @@ def run(
     history: list[HistoryRow] = []
     t0 = time.perf_counter()
     stagnant = 0
-    generations_run = 0
     for generation in range(1, config.max_generations + 1):
         rng = _stream(config.seed, 1, generation)
         _, rank, crowd = _rank_and_crowding(population)
@@ -414,18 +414,9 @@ def run(
                 wallclock_seconds=time.perf_counter() - t0,
             )
         )
-        generations_run = generation
         if on_generation is not None:
             on_generation(generation, archive, population)
         if config.patience and stagnant >= config.patience:
             break
 
-    best = archive[0]
-    return RunResult(
-        archive=archive,
-        best=best,
-        history=history,
-        initial_population=initial_population,
-        evaluations=evaluations,
-        generations_run=generations_run,
-    )
+    return RunResult(archive=archive, history=history, initial_population=initial_population)

@@ -19,14 +19,6 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class FeatureMatrix:
-    """n x d feature rows plus optional {0, 1} class labels."""
-
-    rows: np.ndarray
-    labels: np.ndarray | None = None
-
-
 @dataclass(frozen=True)
 class StandardizationParams:
     feature_min: np.ndarray
@@ -188,10 +180,10 @@ def stratified_split(
     return train_idx, test_idx
 
 
-def load_external_features(path) -> FeatureMatrix:
+def load_external_features(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a feature CSV: header row, one sample per row, {0, 1} label in the
-    final column (which must be named 'label'). Values are returned exactly as
-    stored. Malformed rows, among them non-finite values such as 'nan' or
+    final column (which must be named 'label'). Returns the (n x d) feature
+    rows, exactly as stored, and the n labels. Malformed rows, among them non-finite values such as 'nan' or
     'inf', are rejected with their row number."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -227,4 +219,4 @@ def load_external_features(path) -> FeatureMatrix:
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: row {bad[0] + 2}: non-finite feature value")
-    return FeatureMatrix(rows=features, labels=np.asarray(labels, dtype=int))
+    return features, np.asarray(labels, dtype=int)

@@ -315,7 +315,7 @@ def test_criterion_7_exhaustive_front_recovery(exhaustive_front_runs):
         got = {(i.fitness.accuracy, i.fitness.objective_balance) for i in result.archive}
         subset_ok &= got <= true_front
         best_ok &= best_point in got
-        within_budget &= result.generations_run <= 500
+        within_budget &= len(result.history) <= 500
     elapsed = exhaustive_front_runs["elapsed"]
     report(
         7,
@@ -370,16 +370,16 @@ def end_to_end_run(two_gauss_dataset, tmp_path_factory):
 def test_criterion_8_end_to_end_sanity(end_to_end_run):
     rep = end_to_end_run["report"]
     elapsed = end_to_end_run["elapsed"]
-    best = rep.best
+    best = rep["best"]
     accuracy_ok = best["accuracy"] >= 0.90
-    complexity_ok = best["complexity"] < rep.generation0["median_complexity"]
-    gens_ok = rep.generations_run <= 200
+    complexity_ok = best["complexity"] < rep["generation0"]["median_complexity"]
+    gens_ok = rep["generations_run"] <= 200
     report(
         8,
         "two-Gaussian pipeline reaches 0.90 with shrinking complexity",
         accuracy_ok and complexity_ok and gens_ok and elapsed < 900.0,
         f"acc {best['accuracy']:.3f}, C {best['complexity']:.2f} vs gen0 median "
-        f"{rep.generation0['median_complexity']:.2f}, {elapsed:.0f}s",
+        f"{rep['generation0']['median_complexity']:.2f}, {elapsed:.0f}s",
     )
 
 
@@ -397,11 +397,8 @@ def test_criterion_9_dynamic_fitness_arithmetic(exhaustive_front_runs, end_to_en
             <= 1e-12
         )
         checked += 1
-    rep = end_to_end_run["report"]
-    ok &= (
-        abs(rep.best["objective_balance"] - rep.best["complexity"] * (1 + rep.best["accuracy"] ** 2))
-        <= 1e-12
-    )
+    best = end_to_end_run["report"]["best"]
+    ok &= abs(best["objective_balance"] - best["complexity"] * (1 + best["accuracy"] ** 2)) <= 1e-12
     report(9, "O_B = C*(1+acc^2) on every audited individual", ok, f"{checked} audited")
 
 
@@ -474,9 +471,9 @@ def test_criterion_11_paper_scale_configuration(two_gauss_dataset, tmp_path):
     pca_report = run_pipeline(parse_config_file(tmp_path / "pca.cfg"))
     ext_report = run_pipeline(parse_config_file(tmp_path / "ext.cfg"))
     accuracies = {
-        "pca_qsvm": pca_report.best["accuracy"],
-        "external_qsvm": ext_report.best["accuracy"],
-        "pca64_mlp": pca_report.baseline["accuracy"],
+        "pca_qsvm": pca_report["best"]["accuracy"],
+        "external_qsvm": ext_report["best"]["accuracy"],
+        "pca64_mlp": pca_report["baseline"]["accuracy"],
     }
     ok = all(isinstance(v, float) and 0.0 <= v <= 1.0 for v in accuracies.values())
     ok &= genome_length(6, 11, EncodingMode.PCA_HEADER) == 469

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qkevolve import evolve
+from qkevolve import cli, evolve
 from qkevolve.cli import (
     ConfigError,
     RunConfig,
@@ -149,6 +149,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="does not exist"):
             parse_config_file(path)
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        path = write_config(
+            tmp_path / "c.cfg", mode="pca", dataset=tmp_path, output_dir=tmp_path / "run#1"
+        )
+        path.write_text(path.read_text() + "seed = 5  # inline comment\n#seed = 9\n")
+        cfg = parse_config_file(path)
+        assert cfg.output_dir == tmp_path / "run#1"
+        assert cfg.seed == 5
+
     def test_bad_mode(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", mode="magic", dataset=".", output_dir=".")
         with pytest.raises(ConfigError, match="mode"):
@@ -212,8 +221,8 @@ class TestPgm:
         write_pgm(bad, img, maxval=maxval, binary=binary)
         with pytest.raises(ValueError, match=f"outside \\[0, {maxval}\\]"):
             _read_pgm(bad)
-        fm = load_image_dataset(root, image_size=4)
-        assert fm.rows.shape == (4, 16) and fm.rows.max() <= 1.0
+        rows, _ = load_image_dataset(root, image_size=4)
+        assert rows.shape == (4, 16) and rows.max() <= 1.0
         assert any("skipping unreadable image" in r.message and "over.pgm" in r.message
                    for r in caplog.records)
 
@@ -257,16 +266,16 @@ class TestLoadImageDataset:
             d.mkdir(parents=True)
             for k in range(count):
                 write_pgm(d / f"{k}.pgm", np.full((6, 6), value))
-        fm = load_image_dataset(root)  # default 250x250 target
-        assert fm.rows.shape == (5, 62500)
-        assert fm.labels.tolist() == [0, 0, 0, 1, 1]  # classA sorts first
-        assert np.allclose(fm.rows[0], 30 / 255)
+        rows, labels = load_image_dataset(root)  # default 250x250 target
+        assert rows.shape == (5, 62500)
+        assert labels.tolist() == [0, 0, 0, 1, 1]  # classA sorts first
+        assert np.allclose(rows[0], 30 / 255)
 
     def test_unreadable_file_skipped_with_warning(self, tmp_path, caplog):
         root = make_image_tree(tmp_path / "imgs", per_class=3, size=6)
         (root / "a_negative" / "img01_broken.pgm").write_bytes(b"NOTPGM")  # mid-class
-        fm = load_image_dataset(root, image_size=5)
-        assert fm.rows.shape == (6, 25)
+        rows, labels = load_image_dataset(root, image_size=5)
+        assert rows.shape == (6, 25)
         assert any("skipping unreadable" in r.message for r in caplog.records)
         readable = [
             (label, path)
@@ -274,19 +283,19 @@ class TestLoadImageDataset:
             for path in sorted((root / name).iterdir())
             if "broken" not in path.name
         ]
-        assert fm.labels.tolist() == [label for label, _ in readable]
-        for row, (_, path) in zip(fm.rows, readable):
+        assert labels.tolist() == [label for label, _ in readable]
+        for row, (_, path) in zip(rows, readable):
             assert row.tobytes() == bilinear_resize(_load_image(path), 5, 5).ravel().tobytes()
         # the trimmed rows own their memory: no (files x d) buffer stays alive as a base
-        assert fm.rows.base is None and fm.rows.flags.owndata
-        assert fm.labels.base is None
+        assert rows.base is None and rows.flags.owndata
+        assert labels.base is None
 
     def test_non_pgm_file_skipped_without_pillow(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setitem(sys.modules, "PIL", None)  # as if Pillow were not installed
         root = make_image_tree(tmp_path / "imgs", per_class=2, size=4)
         (root / "b_positive" / "photo.png").write_bytes(b"\x89PNG\r\n\x1a\n")
-        fm = load_image_dataset(root, image_size=4)
-        assert fm.rows.shape == (4, 16) and fm.labels.tolist() == [0, 0, 1, 1]
+        rows, labels = load_image_dataset(root, image_size=4)
+        assert rows.shape == (4, 16) and labels.tolist() == [0, 0, 1, 1]
         assert any(
             "skipping unreadable image" in r.message
             and "photo.png: only PGM is supported without Pillow installed" in r.message
@@ -311,14 +320,19 @@ class TestPipeline:
         assert (out / "report.json").is_file()
         assert (out / "archive.json").is_file()
         loaded = json.loads((out / "report.json").read_text())
-        assert loaded["best"]["accuracy"] == report.best["accuracy"]
+        assert loaded["best"]["accuracy"] == report["best"]["accuracy"]
         assert loaded["baseline"]["accuracy"] is not None
         qsvm = loaded["best"]["qsvm"]
         assert len(qsvm["dual_coefs"]) == loaded["dataset"]["n_train"]
         assert qsvm["n_support"] <= loaded["dataset"]["n_train"]
         assert np.isfinite(qsvm["bias"])
+        # best is the archive's first record plus the retrained winner's QSVM
+        assert {k: v for k, v in loaded["best"].items() if k != "qsvm"} == loaded["archive"][0]
+        # make_image_tree writes 8 images per class
+        assert loaded["dataset"]["class_counts"] == {"0": 8, "1": 8}
+        assert loaded["dataset"]["n_samples"] == 16
         history = (out / "history.csv").read_text().splitlines()
-        assert len(history) == 1 + report.generations_run
+        assert len(history) == 1 + report["generations_run"]
         # archive must be mutually non-dominated
         points = [(m["accuracy"], m["objective_balance"]) for m in loaded["archive"]]
         for p in points:
@@ -329,11 +343,10 @@ class TestPipeline:
         dataset = make_image_tree(tmp_path / "data")
         r1 = run_pipeline(parse_config_file(small_run_config(tmp_path, dataset, "o1")))
         r2 = run_pipeline(parse_config_file(small_run_config(tmp_path, dataset, "o2")))
-        d1, d2 = r1.to_dict(), r2.to_dict()
-        for d in (d1, d2):
+        for d in (r1, r2):
             d.pop("wall_clock_seconds")
             d["config"].pop("output_dir")
-        assert d1 == d2
+        assert r1 == r2
         h1 = (tmp_path / "o1" / "history.csv").read_text().splitlines()
         h2 = (tmp_path / "o2" / "history.csv").read_text().splitlines()
         strip = lambda lines: [",".join(l.split(",")[:-1]) for l in lines]
@@ -343,10 +356,10 @@ class TestPipeline:
         dataset = make_image_tree(tmp_path / "data")
         config = parse_config_file(small_run_config(tmp_path, dataset))
         report = run_pipeline(config)
-        fm = load_image_dataset(dataset, config.image_size)
-        train, test = stratified_split(fm.rows, fm.labels, config.test_fraction, config.seed)
-        assert report.dataset["train_indices"] == train.tolist()
-        assert report.dataset["test_indices"] == test.tolist()
+        rows, labels = load_image_dataset(dataset, config.image_size)
+        train, test = stratified_split(rows, labels, config.test_fraction, config.seed)
+        assert report["dataset"]["train_indices"] == train.tolist()
+        assert report["dataset"]["test_indices"] == test.tolist()
 
     def test_rerun_from_report_echo_reproduces_archive(self, tmp_path):
         dataset = make_image_tree(tmp_path / "data")
@@ -365,7 +378,7 @@ class TestPipeline:
         dataset = make_image_tree(tmp_path / "data")  # 12 training rows: at most 11 components
         config = parse_config_file(small_run_config(tmp_path, dataset))
         report = run_pipeline(config)
-        for record in report.archive:
+        for record in report["archive"]:
             assert record["pca_components_effective"] == min(record["pca_components"], 11)
 
         prepared = prepare_data(config)
@@ -379,11 +392,11 @@ class TestPipeline:
         dataset = make_image_tree(tmp_path / "data")
         config = parse_config_file(small_run_config(tmp_path, dataset))
         report = run_pipeline(config)
-        bits = line_to_bits(report.best["bitstring"])
+        bits = line_to_bits(report["best"]["bitstring"])
         data = prepare_data(config).eval_data
         _, classifier, accuracy = train_individual(bits, data, config.ga_config())
-        assert accuracy == report.best["accuracy"]
-        assert classifier.summary() == report.best["qsvm"]
+        assert accuracy == report["best"]["accuracy"]
+        assert classifier.summary() == report["best"]["qsvm"]
 
     def test_external_mode_end_to_end(self, tmp_path, two_gauss_dataset):
         x, y01 = two_gauss_dataset
@@ -393,9 +406,10 @@ class TestPipeline:
         csv_path.write_text(header + "\n" + "\n".join(rows))
         cfg = small_run_config(tmp_path, csv_path, "ext", mode="external", qubits=2, layers=3)
         report = run_pipeline(parse_config_file(cfg))
-        assert report.best["pca_components"] is None
-        assert report.best["pca_components_effective"] is None
-        assert 0.0 <= report.best["accuracy"] <= 1.0
+        best = report["best"]
+        assert best["pca_components"] is None
+        assert best["pca_components_effective"] is None
+        assert 0.0 <= best["accuracy"] <= 1.0
 
     def test_external_mode_wrong_width_is_reported(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"
@@ -465,6 +479,21 @@ class TestCommands:
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert (tmp_path / "bl" / "baseline.json").is_file()
 
+    @pytest.mark.parametrize("command", ["run", "baseline"])
+    def test_unusable_output_dir_fails_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        dataset = make_image_tree(tmp_path / "data")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n")
+        cfg = small_run_config(tmp_path, dataset, output_dir=blocker / "out")
+        calls = []
+        for name in ("prepare_data", "run_ga"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+        assert main([command, "--config", str(cfg)]) == 2
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert parsed["error"] == "output-dir"
+        assert "blocker" in parsed["detail"]
+        assert calls == []
+
 
 # tracemalloc peak of prepare_data on a PCA tree of 64 x 64 images, as a
 # multiple of the pixel matrix's bytes, by image count.
@@ -526,7 +555,6 @@ class TestPrepareData:
         data = prepared.eval_data
         assert data.mode is EncodingMode.PCA_HEADER
         assert data.x_train.shape == (12, 11) and data.x_test.shape == (4, 11)
-        assert set(prepared.class_counts) == {0, 1}
 
     def test_external_mode_keeps_features_and_fits_no_pca(
         self, tmp_path, two_gauss_dataset, monkeypatch

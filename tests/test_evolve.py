@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,24 +236,25 @@ class TestPcaInputs:
                 np.testing.assert_allclose(got, pca_transform(model, x_full), rtol=0, atol=1e-10)
 
     # 60 samples leave 45 training rows, so the one fit holds 44 components.
-    # It happens when the data are projected; the threaded run fits nothing.
+    # It happens in setup, when the data are projected; the run fits nothing.
     @pytest.mark.parametrize(
-        "mode, expected_fits", [(EncodingMode.PCA_HEADER, [44]), (EncodingMode.FIXED_FEATURES, [])]
+        "mode, expected_fits",
+        [(EncodingMode.PCA_HEADER, [44]), (EncodingMode.FIXED_FEATURES, [])],
+        ids=["pca_header", "fixed_features"],
     )
-    def test_threaded_run_fits_pca_at_most_once(
+    def test_pca_fitted_once_in_setup_not_in_threaded_run(
         self, two_gauss_dataset, monkeypatch, mode, expected_fits
     ):
         x, y01 = two_gauss_dataset
         calls = []
         real_fit = evolve.pca_fit
 
-        def slow_counting_fit(train, r):
-            time.sleep(0.05)  # widen the window in which a second thread could also fit
+        def counting_fit(train, r):
             model = real_fit(train, r)
             calls.append(model.components.shape[0])
             return model
 
-        monkeypatch.setattr(evolve, "pca_fit", slow_counting_fit)
+        monkeypatch.setattr(evolve, "pca_fit", counting_fit)
         data = make_eval_data(x[:60], y01[:60], pca=mode is EncodingMode.PCA_HEADER)
         assert calls == expected_fits
         config = GaConfig(m_qubits=1, n_layers=2, mu=6, lambda_=4, max_generations=2, patience=0)
@@ -445,22 +444,23 @@ class TestRun:
         data = make_eval_data(x, y01)
         result = run(self.small_config(max_generations=10), data)
         assert [r.generation for r in result.history] == list(range(1, 11))
-        assert result.history[-1].evaluations == result.evaluations
+        # every lookup counts, cache hits included: mu initial plus lambda per generation
+        assert result.evaluations == result.history[-1].evaluations == 12 + 10 * 6
 
     def test_stagnation_stop(self, tiny_sep_dataset):
         x, y01 = tiny_sep_dataset
         data = make_eval_data(x, y01)
         result = run(self.small_config(max_generations=200, patience=5), data)
-        assert result.generations_run < 200
+        assert len(result.history) < 200
 
     def test_best_is_max_accuracy_then_min_ob(self, tiny_sep_dataset):
         x, y01 = tiny_sep_dataset
         data = make_eval_data(x, y01)
         result = run(self.small_config(), data)
         top = max(i.fitness.accuracy for i in result.archive)
-        assert result.best.fitness.accuracy == top
+        assert result.archive[0].fitness.accuracy == top
         contenders = [i for i in result.archive if i.fitness.accuracy == top]
-        assert result.best.fitness.objective_balance == min(
+        assert result.archive[0].fitness.objective_balance == min(
             i.fitness.objective_balance for i in contenders
         )
 
@@ -479,7 +479,7 @@ class TestRun:
         monkeypatch.setattr(evolve, "evaluate_fitness", counting)
         config = self.small_config(max_generations=10, lambda_=7, p_cross=0.0, p_ind=0.0)
         result = run(config, data)
-        assert result.generations_run == 10
+        assert len(result.history) == 10
         assert sorted(calls) == list(range(config.mu))
 
     def test_threaded_evaluation_matches_serial(self, tiny_sep_dataset):

@@ -333,9 +333,11 @@ class TestLoadExternalFeatures:
 
     def test_happy_path(self, tmp_path):
         rows = [",".join(["0.5"] * 64) + f",{label}" for label in (0, 0, 1, 1)]
-        fm = load_external_features(self.write(tmp_path, self.header() + "\n" + "\n".join(rows)))
-        assert fm.rows.shape == (4, 64)
-        assert fm.labels.tolist() == [0, 0, 1, 1]
+        rows, labels = load_external_features(
+            self.write(tmp_path, self.header() + "\n" + "\n".join(rows))
+        )
+        assert rows.shape == (4, 64)
+        assert labels.tolist() == [0, 0, 1, 1]
 
     def test_ragged_row_reports_row_number(self, tmp_path):
         rows = [",".join(["0.1"] * 64) + ",0", ",".join(["0.1"] * 63) + ",1"]
@@ -374,5 +376,5 @@ class TestLoadExternalFeatures:
 
     def test_values_returned_exactly_as_stored(self, tmp_path):
         path = self.write(tmp_path, "f0,f1,label\n0.25,-3.5,1\n1.0,2.0,0")
-        fm = load_external_features(path)
-        assert fm.rows.tolist() == [[0.25, -3.5], [1.0, 2.0]]
+        rows, _ = load_external_features(path)
+        assert rows.tolist() == [[0.25, -3.5], [1.0, 2.0]]

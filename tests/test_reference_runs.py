@@ -109,7 +109,7 @@ def run_reference(name: str, data_dirs: dict[int, Path], workdir: Path) -> dict:
     return {
         "report": report,
         "eval_ids": {
-            "best": result.best.eval_id,
+            "best": result.archive[0].eval_id,
             "archive": [ind.eval_id for ind in result.archive],
         },
         "history": [row[:-1] for row in rows],
