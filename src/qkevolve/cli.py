@@ -156,6 +156,8 @@ def parse_config_file(path, require_dataset: bool = True) -> RunConfig:
             raise ConfigError("config-key", f"line {line_no}: unknown key {key!r}")
         if key in values:
             raise ConfigError("config-key", f"line {line_no}: duplicate key {key!r}")
+        if not text:
+            raise ConfigError("config-value", f"line {line_no}: empty value for {key!r}")
         typ = _CONFIG_TYPES[key]
         try:
             values[key] = _BOOLS[text.lower()] if typ is bool else typ(text)
@@ -173,8 +175,12 @@ def parse_config_file(path, require_dataset: bool = True) -> RunConfig:
         config = RunConfig(**values)
     except ValueError as exc:
         raise ConfigError("config-value", str(exc)) from None
-    if require_dataset and not config.dataset.exists():
-        raise ConfigError("dataset-missing", f"dataset path does not exist: {config.dataset}")
+    if require_dataset:
+        # pca reads a directory of class folders, external one feature file
+        kind = "directory" if config.mode == "pca" else "file"
+        if not (config.dataset.is_dir() if kind == "directory" else config.dataset.is_file()):
+            problem = f"is not a {kind}" if config.dataset.exists() else "does not exist"
+            raise ConfigError("dataset-missing", f"dataset path {problem}: {config.dataset}")
     return config
 
 

@@ -164,15 +164,14 @@ def evaluate_fitness(ind: Individual, data: EvalData, config: GaConfig) -> Fitne
 
     The expected failures are absorbed into a worst-case fitness (accuracy 0,
     complexity of a full grid) so a long evolution never halts on one bad
-    individual: ValueError (numpy's LinAlgError among them) from the SVM
-    guards, and RuntimeError from the SVM's PSD abort. Any other exception
-    is a programming error and propagates.
+    individual: ValueError from the decoder and the SVM's input checks. Any
+    other exception is a programming error and propagates.
     """
     try:
         circ, _, acc = train_individual(ind.bits, data, config)
         c = complexity(circ)
         return FitnessPair(accuracy=acc, objective_balance=objective_balance(c, acc), complexity=c)
-    except (ValueError, RuntimeError):
+    except ValueError:
         log.warning("fitness evaluation failed; assigning worst-case fitness", exc_info=True)
         c = worst_case_complexity(config)
         return FitnessPair(accuracy=0.0, objective_balance=objective_balance(c, 0.0), complexity=c)
@@ -186,7 +185,7 @@ def flipbit_mutation(ind: Individual, config: GaConfig, rng: np.random.Generator
     flips = rng.random(ind.bits.size) < config.p_gen
     if not flips.any():
         return ind
-    return Individual(bits=ind.bits ^ flips.astype(np.uint8), eval_id=ind.eval_id)
+    return Individual(bits=ind.bits ^ flips.astype(np.uint8))
 
 
 def two_point_crossover(

@@ -13,10 +13,11 @@ sign-symmetric, every step gives the floats of the a-form. No randomness, so a
 above tol logs a warning with the remaining violation. Predictions are the sign of
 f(x) = sum_i a_i y_i K(x_i, x) + b, with sign(0) mapped to +1.
 
-Before solving, K is checked for PSD. A Cholesky factorization of K shifted by
-PSD_CLAMP_TOL/2 certifies lambda_min(K) > -PSD_CLAMP_TOL when its backward
-error bound is small enough; otherwise, or when it fails, `eigvalsh` decides
-between returning K, clamping it and aborting.
+K is used as given, with no PSD check: the pipeline forms it as one real
+product F F^T of the stacked state amplitudes (`evolve.train_individual`), so it
+is PSD by construction up to rounding. On an indefinite K, each step's
+curvature is floored at 1e-12 (LIBSVM's tau; Chen, Fan & Lin, IEEE TNN 17(4),
+2006), which keeps every step finite and the duals feasible.
 """
 
 from __future__ import annotations
@@ -29,11 +30,6 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 SUPPORT_TOL = 1e-8
-# Gram matrices from the statevector simulator are PSD up to rounding. A tiny
-# negative floor is repaired with a diagonal shift; anything clearly negative
-# means the kernel pipeline is broken and evaluation must not proceed.
-PSD_CLAMP_TOL = 1e-8
-PSD_ABORT_TOL = 1e-4
 
 
 @dataclass
@@ -73,39 +69,11 @@ class TrainedQSVM:
         }
 
 
-def _psd_clamp(k: np.ndarray) -> np.ndarray:
-    """K itself when its min eigenvalue is at least -PSD_CLAMP_TOL, K shifted up
-    to PSD when it is only slightly below; RuntimeError when far below."""
-    n = k.shape[0]
-    # Cholesky certificate: the computed factor of A is exact for some A + E
-    # with ||E||_2 <= (n+1) n (eps/2) max A_ii to first order (Higham, Accuracy
-    # and Stability of Numerical Algorithms, Thm 10.3). When (n+1) n eps
-    # max(1, max|K_ii|) is below PSD_CLAMP_TOL/8, factoring K + (PSD_CLAMP_TOL/2) I
-    # proves lambda_min(K) > -PSD_CLAMP_TOL, where the rule below returns K as is.
-    error_bound = (n + 1) * n * np.finfo(float).eps * max(1.0, np.abs(k.diagonal()).max())
-    if error_bound < PSD_CLAMP_TOL / 8:
-        shifted = k.copy()
-        shifted.flat[:: n + 1] += PSD_CLAMP_TOL / 2
-        try:
-            np.linalg.cholesky(shifted)
-            return k
-        except np.linalg.LinAlgError:
-            pass
-    eig_min = float(np.linalg.eigvalsh(k)[0])
-    if eig_min < -PSD_ABORT_TOL:
-        raise RuntimeError(
-            f"kernel matrix min eigenvalue {eig_min:.3e} is far below zero; "
-            "this indicates a simulator bug, not rounding"
-        )
-    if eig_min < -PSD_CLAMP_TOL:
-        log.warning("clamping kernel PSD violation: min eigenvalue %.3e", eig_min)
-        k = k + (-eig_min) * np.eye(k.shape[0])
-    return k
-
-
 def fit(k_train, y, config: SvmConfig | None = None) -> TrainedQSVM:
-    """Train on an n x n kernel matrix and labels in {-1, +1}. Raises
-    ValueError on single-class labels or non-finite kernels."""
+    """Train on an n x n kernel matrix and labels in {-1, +1}. K is expected
+    to be PSD, as the pipeline's K = F F^T is by construction, and is not
+    checked for it. Raises ValueError on a shape mismatch, non-finite kernels,
+    labels outside {-1, +1} or single-class labels."""
     config = config or SvmConfig()
     k = np.asarray(k_train, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -118,7 +86,6 @@ def fit(k_train, y, config: SvmConfig | None = None) -> TrainedQSVM:
         raise ValueError("labels must be -1 or +1")
     if np.unique(y).size < 2:
         raise ValueError("training requires both classes")
-    k = _psd_clamp(k)
 
     c_reg, tol = config.c_reg, config.tol
     # Scalars live in Python floats, which round exactly as numpy's float64.

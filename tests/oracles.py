@@ -25,7 +25,7 @@ import numpy as np
 
 from qkevolve.genome import GATE_BITS, KIND_BY_CODE, ROTATION_AXIS, EncodingMode, GateKind
 from qkevolve.reduce import PcaModel, StandardizationParams
-from qkevolve.svm import PSD_ABORT_TOL, PSD_CLAMP_TOL, SUPPORT_TOL, SvmConfig, TrainedQSVM
+from qkevolve.svm import SUPPORT_TOL, SvmConfig, TrainedQSVM
 
 CNOT_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -146,9 +146,9 @@ def qp_bruteforce(k: np.ndarray, y: np.ndarray, c: float):
 
 
 def reference_fit(k_train, y, config=None):
-    """The SVM solver as it stood before its allocation-free rewrite: every
-    kernel goes through `eigvalsh`, and each step builds its working sets with
-    `np.where`. `svm.fit` must return the same floats, bit for bit."""
+    """The SVM solver as it stood before its allocation-free rewrite: each
+    step builds its working sets with `np.where`. K is used as given, PSD or
+    not. `svm.fit` must return the same floats, bit for bit."""
     config = config or SvmConfig()
     k = np.asarray(k_train, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -161,14 +161,6 @@ def reference_fit(k_train, y, config=None):
         raise ValueError("labels must be -1 or +1")
     if np.unique(y).size < 2:
         raise ValueError("training requires both classes")
-    eig_min = float(np.linalg.eigvalsh(k)[0])
-    if eig_min < -PSD_ABORT_TOL:
-        raise RuntimeError(
-            f"kernel matrix min eigenvalue {eig_min:.3e} is far below zero; "
-            "this indicates a simulator bug, not rounding"
-        )
-    if eig_min < -PSD_CLAMP_TOL:
-        k = k + (-eig_min) * np.eye(k.shape[0])
 
     c_reg, tol = config.c_reg, config.tol
     lo, hi = np.minimum(0.0, y * c_reg), np.maximum(0.0, y * c_reg)

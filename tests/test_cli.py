@@ -137,6 +137,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot parse"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("key", ["dataset", "output_dir"])
+    def test_empty_value_rejected(self, tmp_path, key):
+        kv = dict(mode="pca", dataset=make_image_tree(tmp_path / "data"), output_dir=tmp_path / "o")
+        kv[key] = ""
+        path = write_config(tmp_path / "c.cfg", **kv)
+        line_no = 2 + list(kv).index(key)  # after the comment line
+        with pytest.raises(ConfigError, match=f"line {line_no}: empty value for '{key}'") as excinfo:
+            parse_config_file(path)
+        assert excinfo.value.code == "config-value"
+
     def test_missing_required_key(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", mode="pca")
         with pytest.raises(ConfigError, match="required"):
@@ -493,6 +503,19 @@ class TestCommands:
         assert parsed["error"] == "output-dir"
         assert "blocker" in parsed["detail"]
         assert calls == []
+
+    @pytest.mark.parametrize("mode", ["pca", "external"])
+    def test_dataset_of_the_wrong_kind_fails_before_any_work(self, tmp_path, capsys, mode):
+        image_tree = make_image_tree(tmp_path / "data")
+        feature_file = tmp_path / "features.csv"
+        feature_file.write_text("f0,label\n0.1,0\n")
+        dataset, kind = (feature_file, "directory") if mode == "pca" else (image_tree, "file")
+        cfg = small_run_config(tmp_path, dataset, mode=mode)
+        assert main(["run", "--config", str(cfg)]) == 2
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert parsed["error"] == "dataset-missing"
+        assert f"is not a {kind}" in parsed["detail"]
+        assert not (tmp_path / "out").exists()
 
 
 # tracemalloc peak of prepare_data on a PCA tree of 64 x 64 images, as a

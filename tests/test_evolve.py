@@ -132,20 +132,22 @@ class TestEvaluateFitness:
 
 
     def test_programming_errors_propagate(self, tiny_sep_dataset, monkeypatch):
-        def broken(circuit, xs):
-            raise TypeError("simulator defect")
-
-        monkeypatch.setattr(evolve, "evaluate_states", broken)
         x, y01 = tiny_sep_dataset
         data = make_eval_data(x, y01)
-        with pytest.raises(TypeError, match="simulator defect"):
-            evaluate_fitness(Individual(bits=np.zeros(14, dtype=np.uint8)), data, TINY_CONFIG)
+        for error in (TypeError, RuntimeError):
 
-    def test_psd_abort_absorbed_as_worst_case(self, tiny_sep_dataset, monkeypatch, caplog):
-        def abort(*args, **kwargs):
-            raise RuntimeError("kernel matrix min eigenvalue far below zero")
+            def broken(circuit, xs):
+                raise error("simulator defect")
 
-        monkeypatch.setattr(evolve.svm, "fit", abort)
+            monkeypatch.setattr(evolve, "evaluate_states", broken)
+            with pytest.raises(error, match="simulator defect"):
+                evaluate_fitness(Individual(bits=np.zeros(14, dtype=np.uint8)), data, TINY_CONFIG)
+
+    def test_solver_value_error_absorbed_as_worst_case(self, tiny_sep_dataset, monkeypatch, caplog):
+        def reject(*args, **kwargs):
+            raise ValueError("kernel matrix contains non-finite entries")
+
+        monkeypatch.setattr(evolve.svm, "fit", reject)
         x, y01 = tiny_sep_dataset
         data = make_eval_data(x, y01)
         fitness = evaluate_fitness(Individual(bits=np.zeros(14, dtype=np.uint8)), data, TINY_CONFIG)
@@ -204,6 +206,10 @@ class TestGramBlocks:
                     evolve.train_individual(variant, data[mode], config)
                     k_train, k_test = blocks[-1]
                     assert np.array_equal(k_train, k_train.T)
+                    # K = F F^T is PSD by construction: its rounding error is at
+                    # most about n p eps for unit-norm rows of width p = 2^(M+1)
+                    n, p = len(k_train), 2 ** (config.m_qubits + 1)
+                    assert np.linalg.eigvalsh(k_train)[0] >= -n * p * np.finfo(float).eps
                     s_train, s_test = evaluate_states(circ, x_train), evaluate_states(circ, x_test)
                     for got, s in ((k_train, s_train), (k_test, s_test)):
                         want = (s.conj() @ s_train.T).real
