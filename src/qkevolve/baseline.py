@@ -8,6 +8,7 @@ count comparable to the evolved quantum models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +86,10 @@ def loss_and_grads(model: MlpModel, xs: np.ndarray, y: np.ndarray):
 
 def check_training_params(lr: float, epochs: int) -> None:
     """The one rule for the training settings: a negative rate would ascend
-    the loss, and a rate of 0 would report the untrained initial model."""
-    if not lr > 0.0:
-        raise ValueError("baseline_lr must be positive")
+    the loss, a rate of 0 would report the untrained initial model, and an
+    infinite one would make the loss NaN."""
+    if not 0.0 < lr < math.inf:
+        raise ValueError("baseline_lr must be positive and finite")
     if epochs < 1:
         raise ValueError("baseline_epochs must be at least 1")
 

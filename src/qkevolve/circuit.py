@@ -23,6 +23,7 @@ independent one-qubit states; a fully entangled one is a single cluster.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,10 +59,18 @@ class CircuitOp:
 
 @dataclass(frozen=True)
 class FeatureMapCircuit:
+    """A lowered genome, one op per grid cell in scan order. `census` counts
+    the kinds in `ops` on each read, so no stored count can disagree with it."""
+
     ops: tuple[CircuitOp, ...]
     n_qubits: int
     input_dim: int
-    census: Census
+
+    @property
+    def census(self) -> Census:
+        n_cnot = sum(op.kind is GateKind.CNOT for op in self.ops)
+        n_identity = sum(op.kind is GateKind.IDENTITY for op in self.ops)
+        return Census(len(self.ops) - n_cnot - n_identity, n_cnot, n_identity)
 
 
 def axis_rotation(axis: str, angles) -> np.ndarray:
@@ -97,42 +106,17 @@ def build_feature_map(genome: CircuitGenome, input_dim: int) -> FeatureMapCircui
         raise ValueError("input_dim must be >= 1")
     m = genome.n_qubits
     ops = []
-    n_local = n_cnot = n_identity = 0
-    param_count = 0
+    slots = itertools.count()  # parameterized rotations seen so far
     for layer in range(genome.n_layers):
         for row in range(m):
             gene = genome.grid[row][layer]
             kind = gene.kind
             if kind is GateKind.CNOT and m == 1:
                 kind = GateKind.IDENTITY
-            if kind is GateKind.IDENTITY:
-                n_identity += 1
-                ops.append(CircuitOp(kind=GateKind.IDENTITY, qubit=row, theta=gene.angle))
-            elif kind is GateKind.CNOT:
-                n_cnot += 1
-                ops.append(
-                    CircuitOp(kind=kind, qubit=row, theta=gene.angle, target=(row + 1) % m)
-                )
-            elif kind in PARAM_KINDS:
-                n_local += 1
-                ops.append(
-                    CircuitOp(
-                        kind=kind,
-                        qubit=row,
-                        theta=gene.angle,
-                        feature_index=param_count % input_dim,
-                    )
-                )
-                param_count += 1
-            else:
-                n_local += 1
-                ops.append(CircuitOp(kind=kind, qubit=row, theta=gene.angle))
-    return FeatureMapCircuit(
-        ops=tuple(ops),
-        n_qubits=m,
-        input_dim=input_dim,
-        census=Census(n_local, n_cnot, n_identity),
-    )
+            target = (row + 1) % m if kind is GateKind.CNOT else None
+            feature_index = next(slots) % input_dim if kind in PARAM_KINDS else None
+            ops.append(CircuitOp(kind, row, gene.angle, target=target, feature_index=feature_index))
+    return FeatureMapCircuit(ops=tuple(ops), n_qubits=m, input_dim=input_dim)
 
 
 def _apply_2x2(u: np.ndarray, states: np.ndarray) -> np.ndarray:

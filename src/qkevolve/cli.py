@@ -90,6 +90,7 @@ class RunConfig:
     def __post_init__(self):
         """Every run rule, checked once, so no RunConfig exists that a run
         would reject, whether it was parsed from a file or built in code."""
+        self.dataset, self.output_dir = Path(self.dataset), Path(self.output_dir)
         if self.mode not in ("pca", "external"):
             raise ValueError("mode must be 'pca' or 'external'")
         if self.image_size < 1:

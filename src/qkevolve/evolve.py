@@ -317,7 +317,7 @@ class HistoryRow:
     best_accuracy: float
     best_objective_balance: float
     archive_size: int
-    evaluations: int
+    evaluations: int  # individuals resolved so far, cache hits included: mu + generation * lambda
     wallclock_seconds: float
 
 
@@ -355,10 +355,8 @@ def run(
     """
     length = genome_length(config.m_qubits, config.n_layers, data.mode)
     cache: dict[bytes, FitnessPair] = {}
-    evaluations = 0
 
     def resolve(pending: list[Individual]):
-        nonlocal evaluations
         todo = []
         for ind in pending:
             ind.fitness = cache.get(ind.bits.tobytes())
@@ -370,7 +368,6 @@ def run(
             for ind, fit_pair in zip(todo, results):
                 ind.fitness = fit_pair
                 cache[ind.bits.tobytes()] = fit_pair
-        evaluations += len(pending)
 
     init_rng = _stream(config.seed, 0)
     population = [Individual(bits=random_bits(length, init_rng), eval_id=i) for i in range(config.mu)]
@@ -409,7 +406,7 @@ def run(
                 best_accuracy=archive[0].fitness.accuracy,
                 best_objective_balance=min(i.fitness.objective_balance for i in archive),
                 archive_size=len(archive),
-                evaluations=evaluations,
+                evaluations=config.mu + generation * config.lambda_,
                 wallclock_seconds=time.perf_counter() - t0,
             )
         )

@@ -13,9 +13,9 @@ sign-symmetric, every step gives the floats of the a-form. No randomness, so a
 above tol logs a warning with the remaining violation. Predictions are the sign of
 f(x) = sum_i a_i y_i K(x_i, x) + b, with sign(0) mapped to +1.
 
-K is used as given, with no PSD check: the pipeline forms it as one real
-product F F^T of the stacked state amplitudes (`evolve.train_individual`), so it
-is PSD by construction up to rounding. On an indefinite K, each step's
+K is used as given, with no PSD or symmetry check: the pipeline forms it as one
+real product F F^T of the stacked amplitudes (`evolve.train_individual`), so it
+is bitwise symmetric and PSD up to rounding. On an indefinite K, each step's
 curvature is floored at 1e-12 (LIBSVM's tau; Chen, Fan & Lin, IEEE TNN 17(4),
 2006), which keeps every step finite and the duals feasible.
 """
@@ -23,6 +23,7 @@ curvature is floored at 1e-12 (LIBSVM's tau; Chen, Fan & Lin, IEEE TNN 17(4),
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,10 @@ class SvmConfig:
     max_passes: int = 100_000
 
     def __post_init__(self):
-        if not self.c_reg > 0:  # also rejects NaN
-            raise ValueError("c_reg must be positive")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.c_reg < math.inf:  # also rejects NaN
+            raise ValueError("c_reg must be positive and finite")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_passes < 1:
             raise ValueError("max_passes must be at least 1")
 
@@ -71,9 +72,10 @@ class TrainedQSVM:
 
 def fit(k_train, y, config: SvmConfig | None = None) -> TrainedQSVM:
     """Train on an n x n kernel matrix and labels in {-1, +1}. K is expected
-    to be PSD, as the pipeline's K = F F^T is by construction, and is not
-    checked for it. Raises ValueError on a shape mismatch, non-finite kernels,
-    labels outside {-1, +1} or single-class labels."""
+    to be symmetric and PSD, as the pipeline's K = F F^T is by construction;
+    neither is checked, and each step reads row k[i] as the column k[:, i].
+    Raises ValueError on a shape mismatch, non-finite kernels, labels outside
+    {-1, +1} or single-class labels."""
     config = config or SvmConfig()
     k = np.asarray(k_train, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -99,7 +101,6 @@ def fit(k_train, y, config: SvmConfig | None = None) -> TrainedQSVM:
     up_pen = np.where(y > 0, 0.0, -np.inf)
     low_pen = np.where(y < 0, 0.0, np.inf)
     yg = y.copy()  # y_i - f_i without bias, i.e. minus y_i times the dual gradient
-    columns = k.T.copy()  # k[:, i] contiguously; rows of k may differ in the last bit
     buf, step_j = np.empty(n), np.empty(n)  # buf holds the masked scores, then the i term
 
     for passes in range(config.max_passes + 1):
@@ -125,8 +126,8 @@ def fit(k_train, y, config: SvmConfig | None = None) -> TrainedQSVM:
         # land exactly on the box when a bound is the binding constraint
         new_i = hi[i] if t == bound_i else beta_i + t
         new_j = lo[j] if t == bound_j else beta_j - t
-        np.multiply(columns[i], new_i - beta_i, out=buf)
-        np.multiply(columns[j], new_j - beta_j, out=step_j)
+        np.multiply(k[i], new_i - beta_i, out=buf)
+        np.multiply(k[j], new_j - beta_j, out=step_j)
         np.add(buf, step_j, out=buf)
         np.subtract(yg, buf, out=yg)
         beta[i], beta[j] = new_i, new_j

@@ -19,9 +19,10 @@ from qkevolve.cli import (
     prepare_data,
     run_pipeline,
 )
-from qkevolve.evolve import FitnessPair, Individual, train_individual
+from qkevolve.evolve import FitnessPair, GaConfig, Individual, train_individual
 from qkevolve.genome import EncodingMode, genome_length, line_to_bits
 from qkevolve.reduce import stratified_split
+from qkevolve.svm import SvmConfig
 
 from oracles import bilinear_reference
 
@@ -91,8 +92,10 @@ OUT_OF_RANGE = [
     ("lambda", 0),
     ("svm_c", 0),
     ("svm_c", float("nan")),
+    ("svm_c", float("inf")),
     ("svm_tol", 0),
     ("svm_tol", float("nan")),
+    ("svm_tol", float("inf")),
     ("svm_max_passes", 0),
     ("qubits", 0),
     ("p_gen", 1.5),
@@ -103,6 +106,7 @@ OUT_OF_RANGE = [
     ("baseline_epochs", 0),
     ("baseline_lr", -0.5),
     ("baseline_lr", 0),
+    ("baseline_lr", float("inf")),
     ("image_size", 0),
     ("seed", -1),
 ]
@@ -188,6 +192,11 @@ class TestConfigParsing:
         kwargs["lambda_" if key == "lambda" else key] = value
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+    def test_defaults_agree_with_the_configs_they_restate(self, tmp_path):
+        config = RunConfig(mode="pca", dataset=tmp_path, output_dir=tmp_path)
+        assert config.ga_config() == GaConfig(m_qubits=6, n_layers=11)
+        assert config.svm_config() == SvmConfig()
 
 
 class TestPgm:
@@ -348,6 +357,15 @@ class TestPipeline:
         for p in points:
             for q in points:
                 assert not (q[0] >= p[0] and q[1] <= p[1] and q != p)
+
+    def test_config_built_in_code_with_string_paths_runs(self, tmp_path):
+        parsed = parse_config_file(small_run_config(tmp_path, make_image_tree(tmp_path / "data")))
+        fields = dataclasses.asdict(parsed)
+        fields.update(dataset=str(parsed.dataset), output_dir=str(tmp_path / "built"))
+        built = RunConfig(**fields)
+        run_pipeline(built)
+        assert (tmp_path / "built" / "report.json").is_file()
+        assert built == dataclasses.replace(parsed, output_dir=tmp_path / "built")
 
     def test_repeat_run_identical_minus_wallclock(self, tmp_path):
         dataset = make_image_tree(tmp_path / "data")

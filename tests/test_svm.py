@@ -18,8 +18,11 @@ def random_psd_kernel(rng, n, unit_diag=True):
 
 
 def kernel_with_spectrum(rng, eigenvalues):
+    """Q diag(eigenvalues) Q^T, made exactly symmetric as `fit` expects: the
+    product alone is symmetric only to rounding."""
     q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
-    return (q * eigenvalues) @ q.T
+    k = (q * eigenvalues) @ q.T
+    return (k + k.T) / 2
 
 
 def assert_same_model(got, want):
@@ -163,6 +166,7 @@ class TestFit:
     def test_tiny_negative_eigenvalue_returns_unclamped_without_warning(self, caplog):
         rng = np.random.default_rng(227)
         k = kernel_with_spectrum(rng, np.concatenate([[-5e-9], rng.uniform(0.5, 2.0, 11)]))
+        assert np.linalg.eigvalsh(k)[0] == pytest.approx(-5e-9, rel=1e-3)
         y = random_labels(rng, 12)
         with caplog.at_level(logging.WARNING, logger="qkevolve.svm"):
             assert_same_model(fit(k, y), reference_fit(k, y))
