@@ -42,6 +42,7 @@ from .genome import EncodingMode, bits_to_line, decode_genome, line_to_bits
 from .reduce import (
     check_test_fraction,
     load_external_features,
+    reorder_rows,
     standardize_apply,
     standardize_fit,
     stratified_split,
@@ -189,9 +190,10 @@ def parse_config_file(path, require_dataset: bool = True) -> RunConfig:
 # image ingestion
 
 
-def _read_pgm(path: Path) -> np.ndarray:
-    """Decode a P2 (ascii) or P5 (binary) PGM into floats in [0, 1]; a sample
-    outside [0, maxval] is rejected."""
+def _read_pgm(path: Path) -> tuple[np.ndarray, int]:
+    """Decode a P2 (ascii) or P5 (binary) PGM into its (height x width)
+    samples, as stored, and its maxval; a sample outside [0, maxval] is
+    rejected."""
     data = path.read_bytes()
     if data[:2] not in (b"P2", b"P5"):
         raise ValueError(f"{path}: not a P2/P5 PGM file")
@@ -234,12 +236,12 @@ def _read_pgm(path: Path) -> np.ndarray:
         checked = True
     if checked and not 0 <= pixels.min() <= pixels.max() <= maxval:
         raise ValueError(f"{path}: PGM sample outside [0, {maxval}]")
-    return pixels.reshape(height, width).astype(float) / maxval
+    return pixels.reshape(height, width), maxval
 
 
-def _load_image(path: Path) -> np.ndarray:
-    """Grayscale image in [0, 1]; PGM natively, other formats via Pillow when
-    it is installed."""
+def _load_image(path: Path) -> tuple[np.ndarray, int]:
+    """Grayscale samples and the value that maps to 1; PGM natively, other
+    formats via Pillow when it is installed."""
     if path.suffix.lower() == ".pgm":
         return _read_pgm(path)
     try:
@@ -247,18 +249,16 @@ def _load_image(path: Path) -> np.ndarray:
     except ImportError:
         raise ValueError(f"{path}: only PGM is supported without Pillow installed") from None
     with Image.open(path) as img:
-        return np.asarray(img.convert("L"), dtype=float) / 255.0
+        return np.asarray(img.convert("L")), 255
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Half-pixel-center bilinear resampling with edge clamping, so output
     corners reproduce input corners exactly. At the input's own shape every
     sample lands on a pixel center with zero weight on its neighbours, so the
-    float image is returned as is."""
+    output equals the input."""
     img = np.asarray(img, dtype=float)
     h, w = img.shape
-    if (out_h, out_w) == (h, w):
-        return img
     ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0, h - 1)
     xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0, w - 1)
     y0 = np.floor(ys).astype(int)
@@ -275,8 +275,9 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def load_image_dataset(root, image_size: int = 250) -> tuple[np.ndarray, np.ndarray]:
     """Load a two-class grayscale image tree as (rows, labels): one
     subdirectory per class, labels 0/1 assigned by lexicographic directory
-    order. Every image is resized to image_size x image_size and flattened
-    row-major into one preallocated (files x d) matrix; unreadable files are
+    order. Every image is scaled to [0, 1], resized to image_size x image_size
+    and flattened row-major into one preallocated (files x d) matrix; an image
+    already that size is scaled straight into its row. Unreadable files are
     skipped with a warning, and the matrix is then cut to the readable rows."""
     root = Path(root)
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
@@ -291,11 +292,14 @@ def load_image_dataset(root, image_size: int = 250) -> tuple[np.ndarray, np.ndar
         first = n
         for file in files:
             try:
-                img = _load_image(file)
+                samples, maxval = _load_image(file)
             except (ValueError, OSError) as exc:
                 log.warning("skipping unreadable image %s: %s", file, exc)
                 continue
-            rows[n] = bilinear_resize(img, image_size, image_size).ravel()
+            if samples.shape == (image_size, image_size):
+                np.divide(samples.ravel(), maxval, out=rows[n])
+            else:
+                rows[n] = bilinear_resize(samples / maxval, image_size, image_size).ravel()
             labels[n] = label
             n += 1
         if n == first:
@@ -321,8 +325,9 @@ class PreparedData:
 def prepare_data(config: RunConfig) -> PreparedData:
     """Ingest, split and standardize on the training rows. In PCA mode the
     standardized blocks are then projected once onto the most components a
-    header can request, and only those scores are kept. Each full-size
-    matrix is dropped as soon as the next step no longer needs it."""
+    header can request, and only those scores are kept. The ingested matrix
+    is the only full-size one: its rows are moved in place so the training
+    rows come first, and both blocks are standardized and centered in it."""
     mode = config.encoding_mode
     if mode is EncodingMode.PCA_HEADER:
         rows, labels = load_image_dataset(config.dataset, config.image_size)
@@ -338,13 +343,11 @@ def prepare_data(config: RunConfig) -> PreparedData:
                 f"columns, found {rows.shape[1]}",
             )
     train_idx, test_idx = stratified_split(rows, labels, config.test_fraction, config.seed)
-    train_rows, test_rows = rows[train_idx], rows[test_idx]
-    del rows
-    params = standardize_fit(train_rows)
-    x_train = standardize_apply(params, train_rows)
-    del train_rows
-    x_test = standardize_apply(params, test_rows)
-    del test_rows
+    reorder_rows(rows, np.concatenate([train_idx, test_idx]))
+    x_train, x_test = rows[: train_idx.size], rows[train_idx.size:]
+    params = standardize_fit(x_train)
+    standardize_apply(params, x_train)
+    standardize_apply(params, x_test)
     if mode is EncodingMode.PCA_HEADER:
         x_train, x_test = evolve.project_pca(x_train, x_test)
     return PreparedData(
@@ -378,11 +381,13 @@ def run_baseline(config: RunConfig, prepared: PreparedData) -> dict:
     """PCA(64) + MLP comparison on the same split and standardization as the
     run; the component count is clamped when the training set is too small
     for 64. In PCA mode it reads the run's scores; on external features it
-    fits its own PCA, the only caller there that needs one."""
+    fits its own PCA, the only caller there that needs one, on copies: the
+    fit overwrites its input, and the run's features are read again after
+    this."""
     data = prepared.eval_data
     x_train, x_test = data.x_train, data.x_test
     if data.mode is EncodingMode.FIXED_FEATURES:
-        x_train, x_test = evolve.project_pca(x_train, x_test)
+        x_train, x_test = evolve.project_pca(x_train.copy(), x_test.copy())
     y01_train, y01_test = (data.y_train + 1) // 2, (data.y_test + 1) // 2
     model = baseline_mod.train(
         x_train, y01_train, lr=config.baseline_lr, epochs=config.baseline_epochs, seed=config.seed

@@ -112,7 +112,9 @@ def project_pca(x_train: np.ndarray, x_test: np.ndarray) -> tuple[np.ndarray, np
     """Fit the leading r_max = min(n_train - 1, d, 64) PCA components on the
     training rows once, and return the train scores the fit computed and the
     test scores. Each count r then slices the leading r columns, which
-    matches a fit of r components up to rounding in the sums."""
+    matches a fit of r components up to rounding in the sums. Both blocks are
+    overwritten: the fit consumes the training rows, and the test rows are
+    centered in place."""
     model = pca_fit(x_train, MAX_PCA_COMPONENTS)
     return model.scores, pca_transform(model, x_test)
 

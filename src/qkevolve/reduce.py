@@ -4,8 +4,10 @@ stratified train/test splitting and ingestion of externally computed feature
 files.
 
 Everything here is fitted on training rows only; test rows pass through the
-fitted transforms unchanged (standardized test values may leave [-1, 1], and
-no clipping is applied).
+fitted transforms as they are (standardized test values may leave [-1, 1],
+and no clipping is applied). `standardize_apply`, `pca_fit` and
+`pca_transform` overwrite the rows they are given, so a full-size matrix is
+never copied; a caller that still needs its rows passes a copy.
 """
 
 from __future__ import annotations
@@ -34,18 +36,18 @@ def standardize_fit(train: np.ndarray) -> StandardizationParams:
 
 def standardize_apply(params: StandardizationParams, x: np.ndarray) -> np.ndarray:
     """Affine map sending the fitted per-feature [min, max] onto [-1, 1];
-    constant features map to 0. The steps of 2 (x - min) / span - 1 run in
-    place on one output buffer, in that order, so the result is that
-    expression's bit for bit with no full-size temporary; `x` is not
-    modified."""
-    x = np.atleast_2d(x)
+    constant features map to 0. Overwrites a float64 `x` and returns it (any
+    other dtype is first converted to a new float64 array): the steps of
+    2 (x - min) / span - 1 run in place, in that order, so the result is that
+    expression's bit for bit with no full-size temporary."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     span = params.feature_max - params.feature_min
-    out = np.subtract(x, params.feature_min, dtype=float)
-    out *= 2.0
-    out /= np.where(span > 0, span, 1.0)
-    out -= 1.0
-    out[:, ~(span > 0)] = 0.0
-    return out
+    x -= params.feature_min
+    x *= 2.0
+    x /= np.where(span > 0, span, 1.0)
+    x -= 1.0
+    x[:, ~(span > 0)] = 0.0
+    return x
 
 
 @dataclass(frozen=True)
@@ -58,19 +60,21 @@ class PcaModel:
 def pca_fit(train: np.ndarray, r: int) -> PcaModel:
     """The leading min(max(1, r), n-1, d) principal directions of the centered
     training rows C (n x d), from the eigendecomposition of the smaller Gram
-    matrix, together with the training rows' scores on them.
+    matrix, together with the training rows' scores on them. Consumes `train`:
+    its rows are overwritten (unless it first needs converting to float64).
 
     With n <= d that is C C^T (n x n): component k is v_k^T C / sqrt(l_k) for
     its k-th largest eigenpair (v_k, l_k), the "snapshot" form of PCA (Turk &
     Pentland, 1991), and the training scores are v_k sqrt(l_k), so only the r
     d-wide rows asked for are formed and the training rows are not projected
-    again. Otherwise component k is the k-th eigenvector of C^T C (d x d), and
-    the scores are the training rows projected as `pca_transform` projects
-    them. Rows are centered through the first row, so a feature that is
-    constant over the training rows centers to exact zeros. A fitted component
-    whose training variance is numerically zero, l_k <= n * eps * l_1 (which
-    covers l_1 = 0), comes back as a zero row with zero scores, with one
-    warning giving the count among the fitted components.
+    again; C is formed in place in `train`. Otherwise component k is the k-th
+    eigenvector of C^T C (d x d), C is a copy, and the scores are the training
+    rows projected as `pca_transform` projects them. Rows are centered through
+    the first row, so a feature that is constant over the training rows
+    centers to exact zeros. A fitted component whose training variance is
+    numerically zero, l_k <= n * eps * l_1 (which covers l_1 = 0), comes back
+    as a zero row with zero scores, with one warning giving the count among
+    the fitted components.
 
     Component signs are fixed so the largest-magnitude loading of each
     component is positive, making the decomposition deterministic.
@@ -80,10 +84,11 @@ def pca_fit(train: np.ndarray, r: int) -> PcaModel:
     if n < 2:
         raise ValueError("PCA requires at least two training rows")
     r = int(min(max(1, r), n - 1, d))
-    centered = train - train[0]
+    snapshot = n <= d
+    first = train[0].copy()
+    centered = np.subtract(train, first, out=train if snapshot else None)
     shift = centered.mean(axis=0)
     centered -= shift
-    snapshot = n <= d
     eigvals, eigvecs = np.linalg.eigh(centered @ centered.T if snapshot else centered.T @ centered)
     eigvals, eigvecs = eigvals[::-1][:r], eigvecs[:, ::-1][:, :r]
     null = eigvals <= n * np.finfo(float).eps * eigvals[0]
@@ -94,25 +99,31 @@ def pca_fit(train: np.ndarray, r: int) -> PcaModel:
         components /= np.sqrt(np.where(null, 1.0, eigvals))[:, None]
     else:
         components = eigvecs.T
-    del centered  # freed before the |components| of the sign rule below
     components[null] = 0.0
-    flip = np.where(components[np.arange(r), np.abs(components).argmax(axis=1)] < 0, -1.0, 1.0)
-    components *= flip[:, None]
-    mean = train[0] + shift
+    flip = np.ones(r)
+    for k, row in enumerate(components):  # row by row: no r x d |components|
+        if row[np.abs(row).argmax()] < 0:
+            row *= -1.0
+            flip[k] = -1.0
+    mean = first + shift
     if snapshot:
         scores = eigvecs * (np.sqrt(np.where(null, 0.0, eigvals)) * flip)
     else:
-        scores = (train - mean) @ components.T
+        train -= mean
+        scores = train @ components.T
     return PcaModel(mean=mean, components=components, scores=scores)
 
 
 def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
+    """Scores of the rows `x` on the fitted components. Centers `x` in place
+    (unless it first needs converting to float64), so it is overwritten."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.mean.size:
         raise ValueError(
             f"dimension mismatch: PCA was fitted on {model.mean.size} features, got {x.shape[1]}"
         )
-    return (x - model.mean) @ model.components.T
+    x -= model.mean
+    return x @ model.components.T
 
 
 def pca_slice(model: PcaModel, r: int) -> PcaModel:
@@ -178,6 +189,27 @@ def stratified_split(
     train_idx = np.sort(np.concatenate(train_parts))
     test_idx = np.sort(np.concatenate(test_parts))
     return train_idx, test_idx
+
+
+def reorder_rows(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Move the rows of `rows` in place so that row i becomes the old row
+    order[i], as `rows[order]` would, and return `rows`. Each cycle of the
+    permutation `order` is followed with one row held aside, so no second
+    matrix is made."""
+    order = order.tolist()  # plain ints: the loop runs once per row
+    moved = [False] * len(order)
+    for start, source in enumerate(order):
+        if moved[start] or source == start:
+            continue
+        held = rows[start].copy()
+        i = start
+        while order[i] != start:
+            rows[i] = rows[order[i]]
+            moved[i] = True
+            i = order[i]
+        rows[i] = held
+        moved[i] = True
+    return rows
 
 
 def load_external_features(path) -> tuple[np.ndarray, np.ndarray]:

@@ -199,33 +199,33 @@ class TestConfigParsing:
         assert config.svm_config() == SvmConfig()
 
 
+def read_scaled(path):
+    """A PGM's samples in [0, 1], as the dataset loader scales them."""
+    samples, maxval = cli._read_pgm(path)
+    return samples / maxval
+
+
 class TestPgm:
     def test_binary_and_ascii_agree(self, tmp_path):
-        from qkevolve.cli import _read_pgm
-
         rng = np.random.default_rng(5)
         img = rng.integers(0, 256, size=(6, 9))
         write_pgm(tmp_path / "b.pgm", img, binary=True)
         write_pgm(tmp_path / "a.pgm", img, binary=False, comment="with a comment")
-        b = _read_pgm(tmp_path / "b.pgm")
-        a = _read_pgm(tmp_path / "a.pgm")
+        b = read_scaled(tmp_path / "b.pgm")
+        a = read_scaled(tmp_path / "a.pgm")
         assert np.array_equal(a, b)
         assert a.max() <= 1.0 and a.min() >= 0.0
 
     def test_sixteen_bit_maxval(self, tmp_path):
-        from qkevolve.cli import _read_pgm
-
         img = np.array([[0, 1000], [65535, 32768]])
         write_pgm(tmp_path / "w.pgm", img, maxval=65535)
-        out = _read_pgm(tmp_path / "w.pgm")
+        out = read_scaled(tmp_path / "w.pgm")
         assert out[1, 0] == 1.0
         assert out[0, 0] == 0.0
 
     def test_mid_gray_maps_to_half(self, tmp_path):
         write_pgm(tmp_path / "g.pgm", np.full((4, 4), 5), maxval=10, binary=False)
-        from qkevolve.cli import _read_pgm
-
-        assert np.all(_read_pgm(tmp_path / "g.pgm") == 0.5)
+        assert np.all(read_scaled(tmp_path / "g.pgm") == 0.5)
 
     @pytest.mark.parametrize(
         "binary, maxval, value", [(False, 10, 300), (True, 100, 255), (True, 1000, 1001)]
@@ -272,7 +272,7 @@ class TestBilinearResize:
         rng = np.random.default_rng(10)
         for shape in ((5, 5), (4, 6)):
             img = rng.uniform(size=shape)
-            # the shortcut and the general half-pixel formula are both exactly the identity
+            # the half-pixel formula, at the input's own shape, is exactly the identity
             assert np.array_equal(bilinear_resize(img, *shape), img)
             assert np.array_equal(bilinear_reference(img, *shape), img)
 
@@ -304,10 +304,25 @@ class TestLoadImageDataset:
         ]
         assert labels.tolist() == [label for label, _ in readable]
         for row, (_, path) in zip(rows, readable):
-            assert row.tobytes() == bilinear_resize(_load_image(path), 5, 5).ravel().tobytes()
+            image = np.divide(*_load_image(path))
+            assert row.tobytes() == bilinear_resize(image, 5, 5).ravel().tobytes()
         # the trimmed rows own their memory: no (files x d) buffer stays alive as a base
         assert rows.base is None and rows.flags.owndata
         assert labels.base is None
+
+    def test_same_size_images_scaled_straight_into_rows(self, tmp_path):
+        root = make_image_tree(tmp_path / "imgs", per_class=3, size=6)  # binary and ascii files
+        sixteen_bit = np.arange(36).reshape(6, 6) * 1800
+        write_pgm(root / "b_positive" / "wide.pgm", sixteen_bit, maxval=65535)
+        rows, _ = load_image_dataset(root, image_size=6)
+        files = [
+            path for name in ("a_negative", "b_positive") for path in sorted((root / name).iterdir())
+        ]
+        assert rows.shape == (7, 36)
+        for row, path in zip(rows, files):
+            image = np.divide(*_load_image(path))
+            assert row.tobytes() == image.ravel().tobytes()
+            assert row.tobytes() == bilinear_resize(image, 6, 6).ravel().tobytes()
 
     def test_non_pgm_file_skipped_without_pillow(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setitem(sys.modules, "PIL", None)  # as if Pillow were not installed
@@ -537,16 +552,16 @@ class TestCommands:
 
 
 # tracemalloc peak of prepare_data on a PCA tree of 64 x 64 images, as a
-# multiple of the pixel matrix's bytes, by image count.
+# multiple of the pixel matrix's bytes, by image count. Each bound is the
+# measured peak plus ~10%, so a second full-size matrix, or a copy of either
+# block, fails it.
 # - 60 images (45 training rows, so all 44 components are read). Measured:
-#   2.57 with one ingest buffer, in-place standardization and scores-only
-#   EvalData; 3.35 with a list of rows, the expression-chain standardization
-#   and the pixel matrices kept in EvalData.
+#   1.85 with the rows reordered, standardized and centered in place, so the
+#   pixel matrix and the 44 d-wide components are the peak; 2.58 when the
+#   split, the standardization and the PCA centering each copied their rows.
 # - 200 images (150 training rows, so a header reads 64 of 149 components).
-#   Measured: 2.12 when only those 64 d-wide components are formed and the
-#   training scores come from the Gram eigenvectors; 2.55 when all 149 were
-#   formed and the training rows projected again.
-SETUP_PEAK_BOUNDS = {60: 3.0, 200: 2.35}
+#   Measured: 1.41 in place; 2.12 with those copies.
+SETUP_PEAK_BOUNDS = {60: 2.05, 200: 1.55}
 
 
 def arrays_reachable(obj, seen=None):
@@ -579,8 +594,9 @@ class TestPrepareData:
         real_fit = evolve.pca_fit
 
         def spy_fit(train, r):
+            seen = np.array(train, copy=True)  # the fit consumes its input
             model = real_fit(train, r)
-            fits.append((np.array(train, copy=True), model.components.shape[0]))
+            fits.append((seen, model.components.shape[0]))
             return model
 
         monkeypatch.setattr(evolve, "pca_fit", spy_fit)
@@ -596,6 +612,34 @@ class TestPrepareData:
         data = prepared.eval_data
         assert data.mode is EncodingMode.PCA_HEADER
         assert data.x_train.shape == (12, 11) and data.x_test.shape == (4, 11)
+
+    @pytest.mark.parametrize("n_samples", [200, 60], ids=["tall-side-fit", "snapshot-side-fit"])
+    def test_external_features_survive_the_run_and_its_baseline(
+        self, tmp_path, two_gauss_dataset, monkeypatch, n_samples
+    ):
+        # 200 rows leave 150 training rows, so the baseline's PCA fits C^T C;
+        # 60 rows leave 45, fewer than the 64 features, so it fits C C^T
+        x, y01 = two_gauss_dataset
+        csv_path = tmp_path / "features.csv"
+        header = ",".join([f"f{i}" for i in range(64)] + ["label"])
+        lines = [",".join(map(str, row)) + f",{label}" for row, label in zip(x, y01)][:n_samples]
+        csv_path.write_text(header + "\n" + "\n".join(lines))
+        config = parse_config_file(small_run_config(tmp_path, csv_path, mode="external"))
+        assert config.baseline
+        used = []
+        real_prepare = cli.prepare_data
+
+        def spy_prepare(c):
+            used.append(real_prepare(c))
+            return used[-1]
+
+        monkeypatch.setattr(cli, "prepare_data", spy_prepare)
+        run_pipeline(config)
+        fresh = real_prepare(config).eval_data
+        (prepared,) = used
+        for name in ("x_train", "y_train", "x_test", "y_test"):
+            got, want = getattr(prepared.eval_data, name), getattr(fresh, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     def test_external_mode_keeps_features_and_fits_no_pca(
         self, tmp_path, two_gauss_dataset, monkeypatch

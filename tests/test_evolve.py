@@ -236,10 +236,12 @@ class TestPcaInputs:
         counts = {1, r_max // 2, r_max} | ({64} if r_max < 64 else set())
         for r in sorted(counts):
             _, _, x_train_r, x_test_r = compile_individual(header_bits(r), data, config)
-            model = pca_fit(features.x_train, r)
+            model = pca_fit(features.x_train.copy(), r)
             assert x_train_r.shape == (features.x_train.shape[0], min(r, r_max))
             for got, x_full in ((x_train_r, features.x_train), (x_test_r, features.x_test)):
-                np.testing.assert_allclose(got, pca_transform(model, x_full), rtol=0, atol=1e-10)
+                np.testing.assert_allclose(
+                    got, pca_transform(model, x_full.copy()), rtol=0, atol=1e-10
+                )
 
     # 60 samples leave 45 training rows, so the one fit holds 44 components.
     # It happens in setup, when the data are projected; the run fits nothing.

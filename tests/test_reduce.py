@@ -8,6 +8,7 @@ from qkevolve.reduce import (
     pca_fit,
     pca_slice,
     pca_transform,
+    reorder_rows,
     standardize_apply,
     standardize_fit,
     stratified_split,
@@ -36,7 +37,7 @@ class TestStandardize:
         with pytest.raises(ValueError):
             standardize_fit(np.empty((0, 3)))
 
-    def test_byte_equal_to_reference_and_input_untouched(self):
+    def test_in_place_and_byte_equal_to_reference(self):
         rng = np.random.default_rng(12)
         train = rng.normal(size=(30, 8))
         train[:, 2] = 4.0  # constant feature
@@ -44,36 +45,44 @@ class TestStandardize:
         wide = rng.normal(scale=3.0, size=(10, 16))  # test rows beyond the fitted range
         ints = rng.integers(-50, 50, size=(12, 8))
         cases = [
-            (standardize_fit(train), train),
-            (standardize_fit(train), wide[:, ::2]),  # non-contiguous view
-            (standardize_fit(train), wide[:8, :8].T),  # transposed view
+            (standardize_fit(train), train.copy()),
+            (standardize_fit(train), wide.copy()[:, ::2]),  # non-contiguous view
+            (standardize_fit(train), wide.copy()[:8, :8].T),  # transposed view
             (standardize_fit(ints[:6]), ints),  # integer input
             (standardize_fit(train), train[0]),  # one row
         ]
+        results = []
         for params, x in cases:
             before = np.array(x, copy=True)
+            want = reference_standardize_apply(params, before)
             got = standardize_apply(params, x)
-            want = reference_standardize_apply(params, x)
             assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-            assert np.array_equal(x, before) and x.dtype == before.dtype
-        assert np.abs(standardize_apply(*cases[1])).max() > 1.0
+            if x.dtype == np.float64:
+                # overwritten: the result is the input (a 2-D view of the one row)
+                assert got is x or (x.ndim == 1 and np.shares_memory(got, x))
+                assert got.tobytes() == x.tobytes()
+            else:
+                # converted to float first, so the integer input is left as it was
+                assert np.array_equal(x, before) and x.dtype == before.dtype
+            results.append(got)
+        assert np.abs(results[1]).max() > 1.0
 
 
 class TestPca:
     def test_rank_one_data_captures_all_variance(self):
         t = np.linspace(-2, 2, 30)
         data = np.stack([t, 3.0 * t], axis=1)
-        scores = pca_transform(pca_fit(data, 1), data)
+        scores = pca_transform(pca_fit(data.copy(), 1), data.copy())
         total = np.var(data, axis=0, ddof=1).sum()
         assert np.var(scores[:, 0], ddof=1) == pytest.approx(total, rel=1e-10)
 
     def test_full_rank_transform_is_isometry(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=(30, 5))
-        model = pca_fit(data, 5)
+        model = pca_fit(data.copy(), 5)
         assert model.components.shape == (5, 5)
-        proj = pca_transform(model, data)
+        proj = pca_transform(model, data.copy())
         d_orig = np.linalg.norm(data[:, None] - data[None, :], axis=2)
         d_proj = np.linalg.norm(proj[:, None] - proj[None, :], axis=2)
         assert np.allclose(d_orig, d_proj, atol=1e-8)
@@ -81,11 +90,11 @@ class TestPca:
     def test_reconstruction_error_non_increasing_in_r(self):
         rng = np.random.default_rng(11)
         data = rng.normal(size=(20, 10))
-        full = pca_fit(data, 10)
+        full = pca_fit(data.copy(), 10)
         errors = []
         for r in range(1, 11):
             model = pca_slice(full, r)
-            proj = pca_transform(model, data)
+            proj = pca_transform(model, data.copy())
             recon = proj @ model.components + model.mean
             errors.append(np.linalg.norm(data - recon))
         assert all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
@@ -97,7 +106,7 @@ class TestPca:
             d = int(rng.integers(2, 15))
             r = int(rng.integers(1, min(n - 1, d) + 1))
             data = rng.normal(size=(n, d))
-            model = pca_fit(data, r)
+            model = pca_fit(data.copy(), r)
             gram = model.components @ model.components.T
             assert np.allclose(gram, np.eye(r), atol=1e-8)
             variances = np.var(pca_transform(model, data), axis=0, ddof=1)
@@ -107,17 +116,17 @@ class TestPca:
         rng = np.random.default_rng(17)
         for shape, held in (((5, 3), 3), ((4, 9), 3)):  # min(n - 1, d) components
             data = rng.normal(size=shape)
-            full = pca_fit(data, held)
+            full = pca_fit(data.copy(), held)
             assert full.components.shape == (held, shape[1])
             for r, kept in ((50, held), (held + 1, held), (0, 1), (-2, 1)):
-                for model in (pca_fit(data, r), pca_slice(full, r)):
+                for model in (pca_fit(data.copy(), r), pca_slice(full, r)):
                     assert model.components.shape == (kept, shape[1])
                     assert model.scores.shape == (shape[0], kept)
 
     def test_deterministic_including_signs(self):
         rng = np.random.default_rng(19)
         data = rng.normal(size=(12, 6))
-        m1, m2 = pca_fit(data, 4), pca_fit(data, 4)
+        m1, m2 = pca_fit(data.copy(), 4), pca_fit(data.copy(), 4)
         assert np.array_equal(m1.components, m2.components)
         # fixed convention: the largest loading of each component is positive
         peaks = m1.components[np.arange(4), np.abs(m1.components).argmax(axis=1)]
@@ -156,30 +165,32 @@ class TestPcaAgainstSvd:
         rng = np.random.default_rng(37)
         train = rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, size=d)
         held_out = rng.normal(size=(10, d))
-        model = pca_fit(train, n)
+        model = pca_fit(train.copy(), n)
         oracle = svd_pca(train, n - 1)
         for x in (train, held_out):
             np.testing.assert_allclose(
-                pca_transform(model, x), pca_transform(oracle, x), rtol=0, atol=1e-10
+                pca_transform(model, x.copy()), pca_transform(oracle, x.copy()), rtol=0, atol=1e-10
             )
         # the training scores the fit returns, against the SVD's U S and a projection
         np.testing.assert_allclose(model.scores, oracle.scores, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(model.scores, pca_transform(model, train), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(
+            model.scores, pca_transform(model, train.copy()), rtol=0, atol=1e-10
+        )
 
     def test_tall_side_scores_are_the_projection_byte_for_byte(self):
         # n > d: the scores are the training rows projected as pca_transform projects them
         rng = np.random.default_rng(53)
         train = rng.normal(size=(60, 8)) * rng.uniform(0.5, 2.0, size=8)
         for r in (1, 3, 7, 8):
-            model = pca_fit(train, r)
-            assert model.scores.tobytes() == pca_transform(model, train).tobytes()
+            model = pca_fit(train.copy(), r)
+            assert model.scores.tobytes() == pca_transform(model, train.copy()).tobytes()
 
     @pytest.mark.parametrize("n, d", SHAPES)
     def test_components_orthonormal(self, n, d):
         rng = np.random.default_rng(43)
         data = rng.normal(size=(n, d))
         for r in (-1, 0, 1, 5, min(n - 1, d), n + d):
-            components = pca_fit(data, r).components
+            components = pca_fit(data.copy(), r).components
             r_eff = min(max(r, 1), n - 1, d)
             assert components.shape == (r_eff, d)
             np.testing.assert_allclose(
@@ -191,12 +202,12 @@ class TestPcaAgainstSvd:
         # what a run relies on: scores computed once, then cut per individual
         rng = np.random.default_rng(47)
         train = rng.normal(size=(n, d))
-        scores = pca_fit(train, n).scores
+        scores = pca_fit(train.copy(), n).scores
         for r in (1, 2, 5, min(n - 1, d)):
-            fitted = pca_fit(train, r)
+            fitted = pca_fit(train.copy(), r)
             np.testing.assert_allclose(fitted.scores, scores[:, :r], rtol=0, atol=1e-10)
             np.testing.assert_allclose(
-                fitted.scores, pca_transform(svd_pca(train, r), train), rtol=0, atol=1e-10
+                fitted.scores, pca_transform(svd_pca(train, r), train.copy()), rtol=0, atol=1e-10
             )
 
     @pytest.mark.parametrize(
@@ -214,16 +225,16 @@ class TestPcaAgainstSvd:
             train = np.full((n, d), 0.1)  # its mean is not exactly 0.1 in floating point
         rank = np.linalg.matrix_rank(train - train[0])
         r = min(n - 1, d)
-        model = pca_fit(train, r)
+        model = pca_fit(train.copy(), r)
         assert np.isfinite(model.components).all() and np.isfinite(model.scores).all()
         assert not model.components[rank:].any()
         assert not model.scores[:, rank:].any()
         kept = model.components[:rank]
         np.testing.assert_allclose(kept @ kept.T, np.eye(rank), rtol=0, atol=1e-10)
         if rank:
-            oracle = pca_transform(svd_pca(train, rank), train)
+            oracle = pca_transform(svd_pca(train, rank), train.copy())
             np.testing.assert_allclose(
-                pca_transform(model, train)[:, :rank], oracle, rtol=0, atol=1e-10
+                pca_transform(model, train.copy())[:, :rank], oracle, rtol=0, atol=1e-10
             )
             np.testing.assert_allclose(model.scores[:, :rank], oracle, rtol=0, atol=1e-10)
         # the warning counts only the components fitted
@@ -302,6 +313,29 @@ class TestStratifiedSplit:
             expected = (y == c).sum() * fraction
             got = (y[test] == c).sum()
             assert abs(got - expected) <= 1.0
+
+
+def permutations_of_1_to_60_rows():
+    """Row orders over 1-60 rows: the identity, one cycle through every row,
+    or any permutation."""
+    return st.integers(1, 60).flatmap(
+        lambda n: st.one_of(
+            st.just(list(range(n))),
+            st.just([*range(1, n), 0]),
+            st.permutations(range(n)),
+        )
+    )
+
+
+class TestReorderRows:
+    @given(permutations_of_1_to_60_rows(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_in_place_and_byte_equal_to_fancy_indexing(self, order, seed):
+        rows = np.random.default_rng(seed).normal(size=(len(order), 3))
+        want = rows[np.array(order)]
+        got = reorder_rows(rows, np.array(order))
+        assert got is rows
+        assert got.tobytes() == want.tobytes()
 
 
 class TestNoLeakage:
