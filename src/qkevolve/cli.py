@@ -278,7 +278,8 @@ def load_image_dataset(root, image_size: int = 250) -> tuple[np.ndarray, np.ndar
     order. Every image is scaled to [0, 1], resized to image_size x image_size
     and flattened row-major into one preallocated (files x d) matrix; an image
     already that size is scaled straight into its row. Unreadable files are
-    skipped with a warning, and the matrix is then cut to the readable rows."""
+    skipped with a warning, and the matrix is then shrunk in place to the
+    readable rows, so no second (files x d) buffer is allocated."""
     root = Path(root)
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if len(class_dirs) != 2:
@@ -306,8 +307,8 @@ def load_image_dataset(root, image_size: int = 250) -> tuple[np.ndarray, np.ndar
             raise ValueError(f"{class_dir}: class has no readable images")
     if n < n_files:
         log.warning("skipped %d unreadable images under %s", n_files - n, root)
-        # a copy, so the full (files x d) buffer is freed rather than kept as a base
-        rows, labels = rows[:n].copy(), labels[:n].copy()
+        rows.resize((n, rows.shape[1]))
+        labels.resize(n)
     return rows, labels
 
 

@@ -16,7 +16,6 @@ variation randomness is drawn from per-generation streams derived from
 
 from __future__ import annotations
 
-import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,6 +28,7 @@ from .genome import (
     MAX_PCA_COMPONENTS,
     CircuitGenome,
     EncodingMode,
+    bits_to_line,
     decode_genome,
     genome_length,
     random_bits,
@@ -38,8 +38,6 @@ from .genome import (
 # no pipeline path calls; ROADMAP item 4 drops that target and this import.
 from .reduce import pca_fit, pca_slice, pca_transform  # noqa: F401
 from .svm import SvmConfig
-
-log = logging.getLogger(__name__)
 
 
 def objective_balance(complexity_value: float, accuracy: float) -> float:
@@ -149,11 +147,6 @@ def train_individual(
     return circ, classifier, svm.accuracy(svm.predict(classifier, k_test), data.y_test)
 
 
-def worst_case_complexity(config: GaConfig) -> float:
-    """Complexity of a grid made entirely of CNOTs, the heaviest possible."""
-    return 2.0 * config.n_layers
-
-
 def dominates(f1: FitnessPair, f2: FitnessPair) -> bool:
     """Pareto domination under (accuracy max, objective_balance min)."""
     if f1.accuracy < f2.accuracy or f1.objective_balance > f2.objective_balance:
@@ -162,21 +155,17 @@ def dominates(f1: FitnessPair, f2: FitnessPair) -> bool:
 
 
 def evaluate_fitness(ind: Individual, data: EvalData, config: GaConfig) -> FitnessPair:
-    """Score one individual through `train_individual`.
-
-    The expected failures are absorbed into a worst-case fitness (accuracy 0,
-    complexity of a full grid) so a long evolution never halts on one bad
-    individual: ValueError from the decoder and the SVM's input checks. Any
-    other exception is a programming error and propagates.
-    """
+    """Score one individual through `train_individual`. On data that
+    `prepare_data` builds no evaluation fails, so an error stops the run: a
+    ValueError is re-raised with the eval id and the bitstring in its message,
+    so the genome can be replayed with `qkevolve inspect`, and any other
+    exception propagates unchanged."""
     try:
         circ, _, acc = train_individual(ind.bits, data, config)
-        c = complexity(circ)
-        return FitnessPair(accuracy=acc, objective_balance=objective_balance(c, acc), complexity=c)
-    except ValueError:
-        log.warning("fitness evaluation failed; assigning worst-case fitness", exc_info=True)
-        c = worst_case_complexity(config)
-        return FitnessPair(accuracy=0.0, objective_balance=objective_balance(c, 0.0), complexity=c)
+    except ValueError as exc:
+        raise ValueError(f"evaluation {ind.eval_id} ({bits_to_line(ind.bits)}): {exc}") from exc
+    c = complexity(circ)
+    return FitnessPair(accuracy=acc, objective_balance=objective_balance(c, acc), complexity=c)
 
 
 def flipbit_mutation(ind: Individual, config: GaConfig, rng: np.random.Generator) -> Individual:
@@ -303,7 +292,7 @@ def update_archive(archive: list[Individual], candidates: list[Individual]) -> l
     """Merge candidates into the non-dominated archive. The result is sorted
     by accuracy descending then O_B ascending; duplicate fitness points keep
     only their earliest individual."""
-    merged = sorted(archive + [c for c in candidates if c.fitness is not None], key=_archive_key)
+    merged = sorted(archive + candidates, key=_archive_key)
     kept: list[Individual] = []
     min_ob = float("inf")
     for ind in merged:

@@ -20,7 +20,7 @@ from qkevolve.cli import (
     run_pipeline,
 )
 from qkevolve.evolve import FitnessPair, GaConfig, Individual, train_individual
-from qkevolve.genome import EncodingMode, genome_length, line_to_bits
+from qkevolve.genome import EncodingMode, bits_to_line, genome_length, line_to_bits
 from qkevolve.reduce import stratified_split
 from qkevolve.svm import SvmConfig
 
@@ -466,7 +466,7 @@ class TestPipeline:
         assert parsed["error"] == "dataset-width"
         assert "63" in parsed["detail"]
 
-    def test_degenerate_split_rejected_before_evolving(self, tmp_path, capsys, caplog):
+    def test_degenerate_split_rejected_before_evolving(self, tmp_path, capsys, monkeypatch):
         # 4 + 4 rows at test_fraction 0.1 leave no test row
         csv_path = tmp_path / "tiny.csv"
         header = ",".join([f"f{i}" for i in range(64)] + ["label"])
@@ -474,11 +474,13 @@ class TestPipeline:
         rows = [",".join(f"{v:.6f}" for v in rng.normal(size=64)) + f",{k % 2}" for k in range(8)]
         csv_path.write_text(header + "\n" + "\n".join(rows) + "\n")
         cfg = small_run_config(tmp_path, csv_path, "tiny", mode="external", test_fraction=0.1)
+        evaluated = []
+        monkeypatch.setattr(evolve, "evaluate_fitness", lambda *a: evaluated.append(a))
         assert main(["run", "--config", str(cfg)]) == 2
         parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert parsed["error"] == "input"
         assert "test_fraction 0.1" in parsed["detail"] and "{0: 4, 1: 4}" in parsed["detail"]
-        assert not any("worst-case" in r.message for r in caplog.records)
+        assert evaluated == []
 
 
 class TestCommands:
@@ -487,6 +489,33 @@ class TestCommands:
         cfg = small_run_config(tmp_path, dataset, "cmd", generations=2, baseline="false")
         assert main(["run", "--config", str(cfg)]) == 0
         assert "run complete" in capsys.readouterr().out
+
+    def test_failing_evaluation_exits_with_its_genome_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        dataset = make_image_tree(tmp_path / "data")
+        cfg = small_run_config(tmp_path, dataset, "fail")
+        evaluated = []
+        real_evaluate = evolve.evaluate_fitness
+
+        def spy(ind, data, config):
+            evaluated.append((ind.eval_id, ind.bits.copy()))
+            return real_evaluate(ind, data, config)
+
+        def reject(*args, **kwargs):
+            raise ValueError("solver defect")
+
+        monkeypatch.setattr(evolve, "evaluate_fitness", spy)
+        monkeypatch.setattr(evolve.svm, "fit", reject)
+        assert main(["run", "--config", str(cfg)]) == 2
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert parsed["error"] == "input"
+        # the first evaluation's error stops the run (the pool may have started
+        # the next before the error reached it)
+        eval_id, bits = evaluated[0]
+        assert parsed["detail"] == f"evaluation {eval_id} ({bits_to_line(bits)}): solver defect"
+        for name in ("report.json", "history.csv", "archive.json"):
+            assert not (tmp_path / "fail" / name).exists()
 
     def test_inspect_prints_circuit(self, tmp_path, capsys):
         cfg = write_config(
@@ -552,16 +581,19 @@ class TestCommands:
 
 
 # tracemalloc peak of prepare_data on a PCA tree of 64 x 64 images, as a
-# multiple of the pixel matrix's bytes, by image count. Each bound is the
-# measured peak plus ~10%, so a second full-size matrix, or a copy of either
-# block, fails it.
+# multiple of the readable pixel matrix's bytes, as (readable images,
+# unreadable files, bound). Each bound is the measured peak plus ~10%, so a
+# second full-size matrix, or a copy of either block, fails it.
 # - 60 images (45 training rows, so all 44 components are read). Measured:
 #   1.85 with the rows reordered, standardized and centered in place, so the
 #   pixel matrix and the 44 d-wide components are the peak; 2.58 when the
 #   split, the standardization and the PCA centering each copied their rows.
 # - 200 images (150 training rows, so a header reads 64 of 149 components).
 #   Measured: 1.41 in place; 2.12 with those copies.
-SETUP_PEAK_BOUNDS = {60: 2.05, 200: 1.55}
+# - The same 200 images plus one unreadable file. Measured: 1.41 with the
+#   (files x d) matrix shrunk in place; 2.02 when the readable rows were
+#   copied out of it.
+SETUP_PEAK_CASES = [(60, 0, 2.05), (200, 0, 1.55), (200, 1, 1.55)]
 
 
 def arrays_reachable(obj, seen=None):
@@ -659,10 +691,13 @@ class TestPrepareData:
 
     def test_setup_memory_is_bounded_and_no_pixel_matrix_survives(self, tmp_path):
         d = 64 * 64
-        for n_images, bound in SETUP_PEAK_BOUNDS.items():
-            dataset = make_image_tree(tmp_path / f"data{n_images}", per_class=n_images // 2, size=64)
+        for n_images, n_unreadable, bound in SETUP_PEAK_CASES:
+            name = f"{n_images}_{n_unreadable}"
+            dataset = make_image_tree(tmp_path / f"data{name}", per_class=n_images // 2, size=64)
+            for k in range(n_unreadable):
+                (dataset / "a_negative" / f"img{k:02d}_broken.pgm").write_bytes(b"NOTPGM")
             config = parse_config_file(
-                small_run_config(tmp_path, dataset, f"out{n_images}", image_size=64)
+                small_run_config(tmp_path, dataset, f"out{name}", image_size=64)
             )
             pixel_bytes = n_images * d * 8  # the pixel matrix is n_images x d float64
             prepare_data(config)  # warm-up: imports and first-call caches
@@ -672,5 +707,5 @@ class TestPrepareData:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= bound * pixel_bytes, (n_images, peak / pixel_bytes)
+            assert peak <= bound * pixel_bytes, (n_images, n_unreadable, peak / pixel_bytes)
             assert all(arr.ndim < 2 or arr.shape[1] != d for arr in arrays_reachable(prepared))

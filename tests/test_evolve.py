@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,10 +21,16 @@ from qkevolve.evolve import (
     run,
     two_point_crossover,
     update_archive,
-    worst_case_complexity,
 )
 from qkevolve.circuit import evaluate_states
-from qkevolve.genome import GATE_BITS, HEADER_BITS, EncodingMode, genome_length, random_bits
+from qkevolve.genome import (
+    GATE_BITS,
+    HEADER_BITS,
+    EncodingMode,
+    bits_to_line,
+    genome_length,
+    random_bits,
+)
 from qkevolve.reduce import pca_fit, pca_transform
 
 from conftest import make_eval_data
@@ -115,7 +123,8 @@ class TestEvaluateFitness:
         assert fitness.complexity == 1.0
         assert 0.0 <= fitness.accuracy <= 1.0
 
-    def test_failures_absorbed_as_worst_case(self, tiny_sep_dataset, caplog):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_evaluation_error_names_its_genome_and_stops_the_run(self, tiny_sep_dataset, threads):
         x, y01 = tiny_sep_dataset
         data = make_eval_data(x, y01)
         broken = EvalData(
@@ -124,17 +133,25 @@ class TestEvaluateFitness:
             x_test=data.x_test,
             y_test=data.y_test,
         )
-        fitness = evaluate_fitness(Individual(bits=np.zeros(14, dtype=np.uint8)), broken, TINY_CONFIG)
-        assert fitness.accuracy == 0.0
-        assert fitness.complexity == worst_case_complexity(TINY_CONFIG) == 4.0
-        assert fitness.objective_balance == fitness.complexity
-        assert any("worst-case" in r.message for r in caplog.records)
-
+        bits = bits_of("0110100" + "1010011")
+        with pytest.raises(ValueError) as caught:
+            evaluate_fitness(Individual(bits=bits, eval_id=37), broken, TINY_CONFIG)
+        message = str(caught.value)
+        assert "training requires both classes" in message
+        assert "evaluation 37 (01101001010011)" in message
+        # generation 0 is drawn from the seed alone, so its first individual,
+        # the first to fail, has the bits it has in a run on intact data
+        first = run(dataclasses.replace(TINY_CONFIG, max_generations=1), data).initial_population[0]
+        with pytest.raises(ValueError) as caught:
+            run(TINY_CONFIG, broken, threads=threads)
+        message = str(caught.value)
+        assert "training requires both classes" in message
+        assert f"evaluation 0 ({bits_to_line(first.bits)})" in message
 
     def test_programming_errors_propagate(self, tiny_sep_dataset, monkeypatch):
         x, y01 = tiny_sep_dataset
         data = make_eval_data(x, y01)
-        for error in (TypeError, RuntimeError):
+        for error in (TypeError, RuntimeError, ValueError):
 
             def broken(circuit, xs):
                 raise error("simulator defect")
@@ -143,16 +160,20 @@ class TestEvaluateFitness:
             with pytest.raises(error, match="simulator defect"):
                 evaluate_fitness(Individual(bits=np.zeros(14, dtype=np.uint8)), data, TINY_CONFIG)
 
-    def test_solver_value_error_absorbed_as_worst_case(self, tiny_sep_dataset, monkeypatch, caplog):
+    def test_solver_value_error_propagates_with_its_cause(self, tiny_sep_dataset, monkeypatch):
+        original = ValueError("kernel matrix contains non-finite entries")
+
         def reject(*args, **kwargs):
-            raise ValueError("kernel matrix contains non-finite entries")
+            raise original
 
         monkeypatch.setattr(evolve.svm, "fit", reject)
         x, y01 = tiny_sep_dataset
         data = make_eval_data(x, y01)
-        fitness = evaluate_fitness(Individual(bits=np.zeros(14, dtype=np.uint8)), data, TINY_CONFIG)
-        assert fitness.accuracy == 0.0
-        assert any("worst-case" in r.message for r in caplog.records)
+        bits = np.zeros(14, dtype=np.uint8)
+        with pytest.raises(ValueError) as caught:
+            evaluate_fitness(Individual(bits=bits, eval_id=5), data, TINY_CONFIG)
+        assert caught.value.__cause__ is original
+        assert str(caught.value) == f"evaluation 5 ({'0' * 14}): {original}"
 
     def test_one_simulation_covers_train_and_test(self, tiny_sep_dataset, monkeypatch):
         calls = []
