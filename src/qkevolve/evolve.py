@@ -8,16 +8,14 @@ along for reporting.
 
 Evaluation of one individual is fully deterministic (the SVM solver and the
 simulator use no randomness) and only reads the shared `EvalData`, whose PCA
-scores are computed before the run, so offspring within a generation can be
-evaluated on any number of threads with schedule-independent results. All
-variation randomness is drawn from per-generation streams derived from
-(seed, generation).
+scores are computed before the run. Individuals are evaluated one at a time,
+in eval-id order. All variation randomness is drawn from per-generation
+streams derived from (seed, generation).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -337,28 +335,26 @@ def run(
 
     Each generation draws lambda parents by binary domination tournament,
     recombines consecutive pairs, mutates, and looks every offspring up in a
-    cache keyed by its bitstring, so only unseen bitstrings are evaluated (on a
-    pool of `threads` workers). It then selects the next mu from parents plus
-    offspring. The Pareto archive is updated every generation and the run
+    cache keyed by its bitstring, so each distinct bitstring is evaluated
+    once per run, in eval-id order. It then selects the next mu from parents
+    plus offspring. The Pareto archive is updated every generation and the run
     stops at max_generations or when the archive has not changed for
     `patience` generations. The best individual is the archive's first
     member: maximum accuracy, ties broken by minimum O_B and then by eval_id.
+
+    `threads` is accepted and ignored: a run starts no thread. Its one caller
+    outside the tests is perfbench's `evolve-img250-t2`; ROADMAP item 4
+    drops it there and deletes the keyword.
     """
     length = genome_length(config.m_qubits, config.n_layers, data.mode)
     cache: dict[bytes, FitnessPair] = {}
 
     def resolve(pending: list[Individual]):
-        todo = []
         for ind in pending:
-            ind.fitness = cache.get(ind.bits.tobytes())
-            if ind.fitness is None:
-                todo.append(ind)
-        if todo:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda i: evaluate_fitness(i, data, config), todo))
-            for ind, fit_pair in zip(todo, results):
-                ind.fitness = fit_pair
-                cache[ind.bits.tobytes()] = fit_pair
+            key = ind.bits.tobytes()
+            if key not in cache:
+                cache[key] = evaluate_fitness(ind, data, config)
+            ind.fitness = cache[key]
 
     init_rng = _stream(config.seed, 0)
     population = [Individual(bits=random_bits(length, init_rng), eval_id=i) for i in range(config.mu)]

@@ -510,8 +510,8 @@ class TestCommands:
         assert main(["run", "--config", str(cfg)]) == 2
         parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert parsed["error"] == "input"
-        # the first evaluation's error stops the run (the pool may have started
-        # the next before the error reached it)
+        # the first evaluation's error stops the run
+        assert len(evaluated) == 1
         eval_id, bits = evaluated[0]
         assert parsed["detail"] == f"evaluation {eval_id} ({bits_to_line(bits)}): solver defect"
         for name in ("report.json", "history.csv", "archive.json"):

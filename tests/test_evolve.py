@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -124,7 +125,9 @@ class TestEvaluateFitness:
         assert 0.0 <= fitness.accuracy <= 1.0
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_evaluation_error_names_its_genome_and_stops_the_run(self, tiny_sep_dataset, threads):
+    def test_evaluation_error_names_its_genome_and_stops_the_run(
+        self, tiny_sep_dataset, monkeypatch, threads
+    ):
         x, y01 = tiny_sep_dataset
         data = make_eval_data(x, y01)
         broken = EvalData(
@@ -142,11 +145,19 @@ class TestEvaluateFitness:
         # generation 0 is drawn from the seed alone, so its first individual,
         # the first to fail, has the bits it has in a run on intact data
         first = run(dataclasses.replace(TINY_CONFIG, max_generations=1), data).initial_population[0]
+        evaluated = []
+
+        def spy(ind, data, config):
+            evaluated.append(ind.eval_id)
+            return evaluate_fitness(ind, data, config)
+
+        monkeypatch.setattr(evolve, "evaluate_fitness", spy)
         with pytest.raises(ValueError) as caught:
             run(TINY_CONFIG, broken, threads=threads)
         message = str(caught.value)
         assert "training requires both classes" in message
         assert f"evaluation 0 ({bits_to_line(first.bits)})" in message
+        assert evaluated == [0]
 
     def test_programming_errors_propagate(self, tiny_sep_dataset, monkeypatch):
         x, y01 = tiny_sep_dataset
@@ -271,7 +282,7 @@ class TestPcaInputs:
         [(EncodingMode.PCA_HEADER, [44]), (EncodingMode.FIXED_FEATURES, [])],
         ids=["pca_header", "fixed_features"],
     )
-    def test_pca_fitted_once_in_setup_not_in_threaded_run(
+    def test_pca_fitted_once_in_setup_not_in_run(
         self, two_gauss_dataset, monkeypatch, mode, expected_fits
     ):
         x, y01 = two_gauss_dataset
@@ -287,7 +298,7 @@ class TestPcaInputs:
         data = make_eval_data(x[:60], y01[:60], pca=mode is EncodingMode.PCA_HEADER)
         assert calls == expected_fits
         config = GaConfig(m_qubits=1, n_layers=2, mu=6, lambda_=4, max_generations=2, patience=0)
-        run(config, data, threads=2)
+        run(config, data)
         assert calls == expected_fits
 
 
@@ -511,9 +522,45 @@ class TestRun:
         assert len(result.history) == 10
         assert sorted(calls) == list(range(config.mu))
 
-    def test_threaded_evaluation_matches_serial(self, tiny_sep_dataset):
+    def test_threaded_evaluation_matches_serial(self, tiny_sep_dataset, monkeypatch):
+        # `threads` is accepted and ignored: every evaluation runs in turn on
+        # the calling thread.
         x, y01 = tiny_sep_dataset
         data = make_eval_data(x, y01)
-        serial = run(self.small_config(max_generations=8), data, threads=1)
+        serial = run(self.small_config(max_generations=8), data)
+        evaluating_threads = set()
+
+        def spy(ind, data, config):
+            evaluating_threads.add(threading.current_thread())
+            return evaluate_fitness(ind, data, config)
+
+        monkeypatch.setattr(evolve, "evaluate_fitness", spy)
         threaded = run(self.small_config(max_generations=8), data, threads=4)
         assert [i.fitness for i in serial.archive] == [i.fitness for i in threaded.archive]
+        assert evaluating_threads == {threading.main_thread()}
+
+    def test_each_distinct_bitstring_evaluated_once(self, tiny_sep_dataset, monkeypatch):
+        # 7-bit genomes repeat often, within a generation as well as across
+        # generations; a repeat is served from the cache either way.
+        x, y01 = tiny_sep_dataset
+        data = make_eval_data(x, y01)
+        config = GaConfig(
+            m_qubits=1,
+            n_layers=1,
+            mu=4,
+            lambda_=20,
+            p_ind=1.0,
+            p_gen=0.5,
+            max_generations=5,
+            patience=0,
+        )
+        evaluated = []
+
+        def spy(ind, data, config):
+            evaluated.append(ind.bits.tobytes())
+            return evaluate_fitness(ind, data, config)
+
+        monkeypatch.setattr(evolve, "evaluate_fitness", spy)
+        result = run(config, data)
+        assert len(evaluated) == len(set(evaluated))
+        assert len(evaluated) < result.evaluations  # the run did repeat bitstrings
