@@ -27,10 +27,6 @@ class MlpModel:
     loss_history: np.ndarray | None = None
 
     @property
-    def input_dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
     def hidden_dim(self) -> int:
         return self.w1.shape[1]
 
@@ -55,24 +51,19 @@ def _forward_batch(model: MlpModel, xs: np.ndarray):
     return pre, hidden, logits
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def loss_and_grads(model: MlpModel, xs: np.ndarray, y: np.ndarray):
     """Mean cross-entropy over the batch and its analytic parameter gradients."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     y = np.asarray(y, dtype=int).ravel()
     n = y.size
     pre, hidden, logits = _forward_batch(model, xs)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
+    top = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - top)  # one exponential gives both log Z and the softmax
+    z = e.sum(axis=1, keepdims=True)
+    log_z = np.log(z[:, 0]) + top[:, 0]
     loss = float(np.mean(log_z - logits[np.arange(n), y]))
 
-    probs = _softmax(logits)
-    d_logits = probs.copy()
+    d_logits = e / z
     d_logits[np.arange(n), y] -= 1.0
     d_logits /= n
     d_w2 = hidden.T @ d_logits

@@ -64,26 +64,21 @@ class ConfigError(ValueError):
         self.detail = detail
 
 
-@dataclass
-class RunConfig:
+@dataclass(kw_only=True)
+class RunConfig(GaConfig):
+    """A run's settings: the GA's, with the deployed 6x11 grid as default,
+    then the data, SVM and baseline keys."""
+
+    qubits: int = 6
+    layers: int = 11
     mode: str  # "pca" or "external"
     dataset: Path
     output_dir: Path
     image_size: int = 250
-    qubits: int = 6
-    layers: int = 11
-    mu: int = 50
-    lambda_: int = 20
-    p_cross: float = 0.6
-    p_ind: float = 0.4
-    p_gen: float = 0.3
-    generations: int = 2000
-    patience: int = 200
-    seed: int = 0
     test_fraction: float = 0.25
-    svm_c: float = 1.0
-    svm_tol: float = 1e-6
-    svm_max_passes: int = 100_000
+    svm_c: float = SvmConfig.c_reg
+    svm_tol: float = SvmConfig.tol
+    svm_max_passes: int = SvmConfig.max_passes
     baseline: bool = True
     baseline_lr: float = 0.01
     baseline_epochs: int = 100
@@ -98,7 +93,7 @@ class RunConfig:
             raise ValueError("image_size must be at least 1")
         check_test_fraction(self.test_fraction)
         baseline_mod.check_training_params(self.baseline_lr, self.baseline_epochs)
-        self.ga_config()
+        super().__post_init__()
         self.svm_config()
 
     @property
@@ -106,18 +101,8 @@ class RunConfig:
         return EncodingMode.PCA_HEADER if self.mode == "pca" else EncodingMode.FIXED_FEATURES
 
     def ga_config(self) -> GaConfig:
-        return GaConfig(
-            m_qubits=self.qubits,
-            n_layers=self.layers,
-            mu=self.mu,
-            lambda_=self.lambda_,
-            p_cross=self.p_cross,
-            p_ind=self.p_ind,
-            p_gen=self.p_gen,
-            max_generations=self.generations,
-            patience=self.patience,
-            seed=self.seed,
-        )
+        """The GA settings alone, which only perfbench asks for (ROADMAP item 4)."""
+        return GaConfig(**{f.name: getattr(self, f.name) for f in fields(GaConfig)})
 
     def svm_config(self) -> SvmConfig:
         return SvmConfig(c_reg=self.svm_c, tol=self.svm_tol, max_passes=self.svm_max_passes)
@@ -346,9 +331,7 @@ def prepare_data(config: RunConfig) -> PreparedData:
     train_idx, test_idx = stratified_split(rows, labels, config.test_fraction, config.seed)
     reorder_rows(rows, np.concatenate([train_idx, test_idx]))
     x_train, x_test = rows[: train_idx.size], rows[train_idx.size:]
-    params = standardize_fit(x_train)
-    standardize_apply(params, x_train)
-    standardize_apply(params, x_test)
+    standardize_apply(standardize_fit(x_train), rows)
     if mode is EncodingMode.PCA_HEADER:
         x_train, x_test = evolve.project_pca(x_train, x_test)
     return PreparedData(
@@ -366,7 +349,7 @@ def prepare_data(config: RunConfig) -> PreparedData:
 
 
 def _individual_record(ind, config: RunConfig, prepared: PreparedData) -> dict:
-    genome, circ, _, _ = compile_individual(ind.bits, prepared.eval_data, config.ga_config())
+    genome, circ, _, _ = compile_individual(ind.bits, prepared.eval_data, config)
     return {
         "bitstring": bits_to_line(ind.bits),
         "accuracy": ind.fitness.accuracy,
@@ -420,15 +403,14 @@ def run_pipeline(config: RunConfig) -> dict:
     out = _make_output_dir(config)
     prepared = prepare_data(config)
     data = prepared.eval_data
-    ga_config = config.ga_config()
-    result = run_ga(ga_config, data)
+    result = run_ga(config, data)
 
     baseline_report = run_baseline(config, prepared) if config.baseline else None
 
     gen0 = result.initial_population
     archive = [_individual_record(ind, config, prepared) for ind in result.archive]
     # Retrain the winner on the same split so its dual solution lands in the report.
-    _, best_qsvm, _ = train_individual(result.archive[0].bits, data, ga_config)
+    _, best_qsvm, _ = train_individual(result.archive[0].bits, data, config)
     labels = np.concatenate([data.y_train, data.y_test])
     report = {
         "config": config.echo(),

@@ -59,24 +59,24 @@ class Individual:
 
 @dataclass
 class GaConfig:
-    m_qubits: int
-    n_layers: int
+    qubits: int
+    layers: int
     mu: int = 50
     lambda_: int = 20
     p_cross: float = 0.6
     p_ind: float = 0.4
     p_gen: float = 0.3
-    max_generations: int = 2000
+    generations: int = 2000
     patience: int = 200  # stop after this many generations without archive change; 0 disables
     seed: int = 0
 
     def __post_init__(self):
         if self.mu < 1 or self.lambda_ < 1:
             raise ValueError("mu and lambda must be at least 1")
-        if self.m_qubits < 1 or self.n_layers < 1:
-            raise ValueError("grid dimensions must be at least 1x1")
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be at least 1")
+        if self.qubits < 1 or self.layers < 1:
+            raise ValueError("qubits and layers must be at least 1")
+        if self.generations < 1:
+            raise ValueError("generations must be at least 1")
         if self.patience < 0:
             raise ValueError("patience must be at least 0")
         if self.seed < 0:
@@ -121,7 +121,7 @@ def compile_individual(
     """Decode a bitstring and build the circuit it is scored with, together
     with its train and test inputs: the leading principal-component scores
     its header asks for, or the fixed features without a header."""
-    genome = decode_genome(bits, config.m_qubits, config.n_layers, data.mode)
+    genome = decode_genome(bits, config.qubits, config.layers, data.mode)
     x_train, x_test = data.x_train, data.x_test
     if genome.pca_components is not None:
         x_train, x_test = x_train[:, : genome.pca_components], x_test[:, : genome.pca_components]
@@ -337,16 +337,16 @@ def run(
     recombines consecutive pairs, mutates, and looks every offspring up in a
     cache keyed by its bitstring, so each distinct bitstring is evaluated
     once per run, in eval-id order. It then selects the next mu from parents
-    plus offspring. The Pareto archive is updated every generation and the run
-    stops at max_generations or when the archive has not changed for
-    `patience` generations. The best individual is the archive's first
-    member: maximum accuracy, ties broken by minimum O_B and then by eval_id.
+    plus offspring. The Pareto archive is updated every generation, and the
+    run stops after `generations` generations or once the archive has not
+    changed for `patience` generations. The best individual is the archive's
+    first member: maximum accuracy, ties broken by minimum O_B, then eval_id.
 
     `threads` is accepted and ignored: a run starts no thread. Its one caller
     outside the tests is perfbench's `evolve-img250-t2`; ROADMAP item 4
     drops it there and deletes the keyword.
     """
-    length = genome_length(config.m_qubits, config.n_layers, data.mode)
+    length = genome_length(config.qubits, config.layers, data.mode)
     cache: dict[bytes, FitnessPair] = {}
 
     def resolve(pending: list[Individual]):
@@ -366,7 +366,7 @@ def run(
     history: list[HistoryRow] = []
     t0 = time.perf_counter()
     stagnant = 0
-    for generation in range(1, config.max_generations + 1):
+    for generation in range(1, config.generations + 1):
         rng = _stream(config.seed, 1, generation)
         _, rank, crowd = _rank_and_crowding(population)
         parents = [_tournament(population, rank, crowd, rng) for _ in range(config.lambda_)]

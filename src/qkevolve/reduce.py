@@ -146,8 +146,8 @@ def stratified_split(
     """Deterministic per-class split into (train_indices, test_indices).
 
     The test set receives floor(n * test_fraction) samples: floor(n_c * f) per
-    class, with any remainder handed out one by one starting from the largest
-    class. Per-class proportions therefore stay within one sample of exact.
+    class, with the remainder handed out one row per class, largest classes
+    first. Per-class proportions therefore stay within one sample of exact.
     A split with no test row, or with a class that keeps no training row, is
     rejected.
     """
@@ -164,15 +164,11 @@ def stratified_split(
 
     target = int(np.floor(y.size * test_fraction))
     per_class = {c: int(np.floor(cnt * test_fraction)) for c, cnt in zip(classes, counts)}
-    remainder = target - sum(per_class.values())
-    order = sorted(zip(classes, counts), key=lambda t: (-t[1], t[0]))
-    k = 0
-    while remainder > 0:
-        c, cnt = order[k % len(order)]
-        if per_class[c] < cnt:
-            per_class[c] += 1
-            remainder -= 1
-        k += 1
+    # The floors leave fewer rows than classes, and each floor is below its
+    # class size, so the remainder is one row to each of the largest classes.
+    by_size = sorted(zip(classes, counts), key=lambda t: (-t[1], t[0]))
+    for c, _ in by_size[: target - sum(per_class.values())]:
+        per_class[c] += 1
     all_test = [int(c) for c, cnt in zip(classes, counts) if per_class[c] == cnt]
     if target == 0 or all_test:
         sizes = {int(c): int(cnt) for c, cnt in zip(classes, counts)}

@@ -10,8 +10,9 @@ with deterministic maximal-violating-pair steps (Keerthi et al., Neural Comput.
 no y_i y_j K_ij matrix is formed, and since negation is exact and rounding is
 sign-symmetric, every step gives the floats of the a-form. No randomness, so a
 (K, y, config) triple always yields the same model. Running out of max_passes
-above tol logs a warning with the remaining violation. Predictions are the sign of
-f(x) = sum_i a_i y_i K(x_i, x) + b, with sign(0) mapped to +1.
+above tol logs a warning with the remaining violation. The model keeps the signed
+duals b, and predictions are the sign of f(x) = sum_i b_i K(x_i, x) + bias, with
+sign(0) mapped to +1.
 
 K is used as given, with no PSD or symmetry check: the pipeline forms it as one
 real product F F^T of the stacked amplitudes (`evolve.train_individual`), so it
@@ -50,15 +51,18 @@ class SvmConfig:
 
 @dataclass
 class TrainedQSVM:
-    dual_coefs: np.ndarray
-    labels: np.ndarray
+    signed_duals: np.ndarray  # beta = y * alpha, the duals the solver steps
     bias: float
-    support_mask: np.ndarray
     regularization: float
 
     @property
+    def dual_coefs(self) -> np.ndarray:
+        """alpha = |beta|; abs also turns a -0.0 dual into 0.0."""
+        return np.abs(self.signed_duals)
+
+    @property
     def n_support(self) -> int:
-        return int(self.support_mask.sum())
+        return int((self.dual_coefs > SUPPORT_TOL).sum())
 
     def summary(self) -> dict:
         """JSON-ready digest for run reports."""
@@ -137,7 +141,7 @@ def fit(k_train, y, config: SvmConfig | None = None) -> TrainedQSVM:
         low_pen[j] = 0.0 if new_j > lo[j] else np.inf
 
     beta = np.array(beta)
-    alpha = np.abs(beta)  # abs also turns a -0.0 dual into 0.0
+    alpha = np.abs(beta)
     residual = y - k @ beta
     margin = (alpha > SUPPORT_TOL) & (alpha < c_reg - SUPPORT_TOL)
     if margin.any():
@@ -146,22 +150,16 @@ def fit(k_train, y, config: SvmConfig | None = None) -> TrainedQSVM:
         # midpoint of the bias interval allowed by the bound variables
         bias = 0.5 * (residual[up_pen == 0.0].max() + residual[low_pen == 0.0].min())
 
-    return TrainedQSVM(
-        dual_coefs=alpha,
-        labels=y,
-        bias=float(bias),
-        support_mask=alpha > SUPPORT_TOL,
-        regularization=c_reg,
-    )
+    return TrainedQSVM(signed_duals=beta, bias=float(bias), regularization=c_reg)
 
 
 def predict(model: TrainedQSVM, k_test) -> np.ndarray:
     """Signs of the decision values for a q x n_train kernel block; ties at
     exactly zero go to +1."""
     k = np.atleast_2d(np.asarray(k_test, dtype=float))
-    if k.shape[1] != model.dual_coefs.size:
+    if k.shape[1] != model.signed_duals.size:
         raise ValueError("kernel block width does not match the training set")
-    scores = k @ (model.dual_coefs * model.labels) + model.bias
+    scores = k @ model.signed_duals + model.bias
     return np.where(scores >= 0.0, 1, -1)
 
 

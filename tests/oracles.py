@@ -9,8 +9,9 @@ enumeration instead of pairwise updates, domination fronts via repeated peeling,
 differences, bilinear resampling via a scalar loop, and PCA via a thin SVD of
 the centered rows instead of the eigendecomposition of their smaller Gram.
 `reference_fit` is the SVM solver before its allocation-free rewrite, kept as
-a bit-exact reference, and `reference_standardize_apply` is the same for the
-standardization before its in-place rewrite.
+a bit-exact reference, `reference_standardize_apply` is the same for the
+standardization before its in-place rewrite, and `reference_test_counts` for
+the split's per-class test counts before its remainder loop was shortened.
 
 Helpers that only tests use live here too: the genome encoder, the inverse
 of `decode_genome` that the round-trip tests run, the SVM decision value of
@@ -196,22 +197,16 @@ def reference_fit(k_train, y, config=None):
         # midpoint of the bias interval allowed by the bound variables
         bias = 0.5 * (residual[beta < hi].max() + residual[beta > lo].min())
 
-    return TrainedQSVM(
-        dual_coefs=alpha,
-        labels=y,
-        bias=float(bias),
-        support_mask=alpha > SUPPORT_TOL,
-        regularization=c_reg,
-    )
+    return TrainedQSVM(signed_duals=beta, bias=float(bias), regularization=c_reg)
 
 
 def decision(model, k_row: np.ndarray) -> float:
     """Pre-sign SVM decision value for one point given its kernel row against
     the training set."""
     k_row = np.asarray(k_row, dtype=float).ravel()
-    if k_row.size != model.dual_coefs.size:
+    if k_row.size != model.signed_duals.size:
         raise ValueError("kernel row length does not match the training set")
-    return float((model.dual_coefs * model.labels) @ k_row + model.bias)
+    return float(model.signed_duals @ k_row + model.bias)
 
 
 def pareto_front_points(points) -> set:
@@ -258,6 +253,26 @@ def bilinear_reference(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
+def reference_test_counts(y: np.ndarray, test_fraction: float) -> dict:
+    """Per-class test-row counts as `stratified_split` computed them before
+    its remainder loop was found never to wrap: floor(n_c * f) per class, then
+    the remainder one row at a time, largest class first (ties by label),
+    cycling through the classes and skipping a class with no row to spare."""
+    classes, counts = np.unique(np.asarray(y).ravel(), return_counts=True)
+    target = int(np.floor(y.size * test_fraction))
+    per_class = {c: int(np.floor(cnt * test_fraction)) for c, cnt in zip(classes, counts)}
+    remainder = target - sum(per_class.values())
+    order = sorted(zip(classes, counts), key=lambda t: (-t[1], t[0]))
+    k = 0
+    while remainder > 0:
+        c, cnt = order[k % len(order)]
+        if per_class[c] < cnt:
+            per_class[c] += 1
+            remainder -= 1
+        k += 1
+    return per_class
+
+
 def reference_standardize_apply(params: StandardizationParams, x: np.ndarray) -> np.ndarray:
     """`standardize_apply` as one expression with full-size temporaries, the
     bit-exact reference for its in-place steps."""
@@ -290,13 +305,15 @@ def svd_pca(train: np.ndarray, r: int) -> PcaModel:
 def forward(model, x: np.ndarray) -> np.ndarray:
     """MLP class probabilities for one input vector, through the package's
     batched layers."""
-    from qkevolve.baseline import _forward_batch, _softmax
+    from qkevolve.baseline import _forward_batch
 
     x = np.asarray(x, dtype=float).ravel()
-    if x.size != model.input_dim:
-        raise ValueError(f"input dimension mismatch: expected {model.input_dim}, got {x.size}")
+    input_dim = model.w1.shape[0]
+    if x.size != input_dim:
+        raise ValueError(f"input dimension mismatch: expected {input_dim}, got {x.size}")
     _, _, logits = _forward_batch(model, x[None, :])
-    return _softmax(logits)[0]
+    e = np.exp(logits[0] - logits[0].max())
+    return e / e.sum()
 
 
 def mlp_numeric_grads(model, xs: np.ndarray, y: np.ndarray, h: float = 1e-5) -> dict:

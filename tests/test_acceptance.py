@@ -243,11 +243,11 @@ def test_criterion_6_nsga2_correctness(tiny_sep_dataset):
 
     run(
         GaConfig(
-            m_qubits=1,
-            n_layers=2,
+            qubits=1,
+            layers=2,
             mu=12,
             lambda_=6,
-            max_generations=100,
+            generations=100,
             patience=0,
             seed=42,
         ),
@@ -266,7 +266,7 @@ def exhaustive_front_runs(tiny_sep_dataset):
     """Criterion 7 computation, shared with the criterion 9 audit."""
     x, y01 = tiny_sep_dataset
     data = make_eval_data(x, y01, seed=0)
-    config = GaConfig(m_qubits=1, n_layers=2, seed=0)
+    config = GaConfig(qubits=1, layers=2, seed=0)
 
     t0 = time.perf_counter()
     all_fitness = []
@@ -282,11 +282,11 @@ def exhaustive_front_runs(tiny_sep_dataset):
     for seed in range(5):
         result = run(
             GaConfig(
-                m_qubits=1,
-                n_layers=2,
+                qubits=1,
+                layers=2,
                 mu=50,
                 lambda_=20,
-                max_generations=500,
+                generations=500,
                 patience=200,
                 seed=seed,
             ),

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import sys
 import tracemalloc
 
@@ -185,6 +186,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as excinfo:
             parse_config_file(path)
         assert excinfo.value.code == "config-value"
+        # the message names the key the file can contain; the svm_* keys are
+        # the exception, as their messages name SvmConfig's fields
+        if not key.startswith("svm_"):
+            assert re.search(rf"(?<!\w){key}\b", excinfo.value.detail), excinfo.value.detail
 
     @pytest.mark.parametrize("key, value", OUT_OF_RANGE + [("mode", "magic")])
     def test_out_of_range_value_rejected_when_built_in_code(self, tmp_path, key, value):
@@ -195,7 +200,7 @@ class TestConfigParsing:
 
     def test_defaults_agree_with_the_configs_they_restate(self, tmp_path):
         config = RunConfig(mode="pca", dataset=tmp_path, output_dir=tmp_path)
-        assert config.ga_config() == GaConfig(m_qubits=6, n_layers=11)
+        assert config.ga_config() == GaConfig(qubits=6, layers=11)
         assert config.svm_config() == SvmConfig()
 
 
@@ -437,7 +442,7 @@ class TestPipeline:
         report = run_pipeline(config)
         bits = line_to_bits(report["best"]["bitstring"])
         data = prepare_data(config).eval_data
-        _, classifier, accuracy = train_individual(bits, data, config.ga_config())
+        _, classifier, accuracy = train_individual(bits, data, config)
         assert accuracy == report["best"]["accuracy"]
         assert classifier.summary() == report["best"]["qsvm"]
 

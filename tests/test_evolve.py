@@ -50,7 +50,7 @@ def bits_of(text):
     return np.array([int(ch) for ch in text], dtype=np.uint8)
 
 
-TINY_CONFIG = GaConfig(m_qubits=1, n_layers=2, seed=0)
+TINY_CONFIG = GaConfig(qubits=1, layers=2, seed=0)
 
 
 class TestDominates:
@@ -117,7 +117,7 @@ class TestEvaluateFitness:
     def test_pca_mode_uses_genome_component_count(self, two_gauss_dataset):
         x, y01 = two_gauss_dataset
         data = make_eval_data(x, y01, pca=True)
-        config = GaConfig(m_qubits=1, n_layers=1, seed=0)
+        config = GaConfig(qubits=1, layers=1, seed=0)
         # header 000000 -> 1 component; gate Rx(x0 * pi/8)
         bits = bits_of("0000000" + "0000000")
         fitness = evaluate_fitness(Individual(bits=bits), data, config)
@@ -144,7 +144,7 @@ class TestEvaluateFitness:
         assert "evaluation 37 (01101001010011)" in message
         # generation 0 is drawn from the seed alone, so its first individual,
         # the first to fail, has the bits it has in a run on intact data
-        first = run(dataclasses.replace(TINY_CONFIG, max_generations=1), data).initial_population[0]
+        first = run(dataclasses.replace(TINY_CONFIG, generations=1), data).initial_population[0]
         evaluated = []
 
         def spy(ind, data, config):
@@ -226,7 +226,7 @@ class TestGramBlocks:
         rng = np.random.default_rng(53)
         kinds = set()
         modes = ((EncodingMode.FIXED_FEATURES, 0), (EncodingMode.PCA_HEADER, HEADER_BITS))
-        config = GaConfig(m_qubits=6, n_layers=4)
+        config = GaConfig(qubits=6, layers=4)
         for mode, offset in modes:
             for _ in range(6):
                 bits = random_bits(genome_length(6, 4, mode), rng)
@@ -240,7 +240,7 @@ class TestGramBlocks:
                     assert np.array_equal(k_train, k_train.T)
                     # K = F F^T is PSD by construction: its rounding error is at
                     # most about n p eps for unit-norm rows of width p = 2^(M+1)
-                    n, p = len(k_train), 2 ** (config.m_qubits + 1)
+                    n, p = len(k_train), 2 ** (config.qubits + 1)
                     assert np.linalg.eigvalsh(k_train)[0] >= -n * p * np.finfo(float).eps
                     s_train, s_test = evaluate_states(circ, x_train), evaluate_states(circ, x_test)
                     for got, s in ((k_train, s_train), (k_test, s_test)):
@@ -264,7 +264,7 @@ class TestPcaInputs:
         data = make_eval_data(x[:n_samples], y01[:n_samples], pca=True)
         r_max = min(features.x_train.shape[0] - 1, features.x_train.shape[1], 64)
         assert data.x_train.shape[1] == data.x_test.shape[1] == r_max
-        config = GaConfig(m_qubits=1, n_layers=1)
+        config = GaConfig(qubits=1, layers=1)
         counts = {1, r_max // 2, r_max} | ({64} if r_max < 64 else set())
         for r in sorted(counts):
             _, _, x_train_r, x_test_r = compile_individual(header_bits(r), data, config)
@@ -297,7 +297,7 @@ class TestPcaInputs:
         monkeypatch.setattr(evolve, "pca_fit", counting_fit)
         data = make_eval_data(x[:60], y01[:60], pca=mode is EncodingMode.PCA_HEADER)
         assert calls == expected_fits
-        config = GaConfig(m_qubits=1, n_layers=2, mu=6, lambda_=4, max_generations=2, patience=0)
+        config = GaConfig(qubits=1, layers=2, mu=6, lambda_=4, generations=2, patience=0)
         run(config, data)
         assert calls == expected_fits
 
@@ -305,7 +305,7 @@ class TestPcaInputs:
 class TestFlipbitMutation:
     def test_p_ind_zero_never_mutates(self):
         rng = np.random.default_rng(1)
-        config = GaConfig(m_qubits=1, n_layers=2, p_ind=0.0)
+        config = GaConfig(qubits=1, layers=2, p_ind=0.0)
         ind = Individual(bits=bits_of("01" * 7), fitness=fp(0.5, 1.0))
         for _ in range(50):
             out = flipbit_mutation(ind, config, rng)
@@ -313,7 +313,7 @@ class TestFlipbitMutation:
 
     def test_full_probabilities_complement(self):
         rng = np.random.default_rng(2)
-        config = GaConfig(m_qubits=1, n_layers=2, p_ind=1.0, p_gen=1.0)
+        config = GaConfig(qubits=1, layers=2, p_ind=1.0, p_gen=1.0)
         ind = Individual(bits=bits_of("01100110011001"), fitness=fp(0.5, 1.0))
         out = flipbit_mutation(ind, config, rng)
         assert np.array_equal(out.bits, 1 - ind.bits)
@@ -321,14 +321,14 @@ class TestFlipbitMutation:
 
     def test_flip_fraction_matches_binomial_expectation(self):
         rng = np.random.default_rng(3)
-        config = GaConfig(m_qubits=1, n_layers=2, p_ind=1.0, p_gen=0.3)
+        config = GaConfig(qubits=1, layers=2, p_ind=1.0, p_gen=0.3)
         ind = Individual(bits=np.zeros(100_000, dtype=np.uint8))
         out = flipbit_mutation(ind, config, rng)
         assert out.bits.mean() == pytest.approx(0.3, abs=0.01)
 
     def test_length_preserved(self):
         rng = np.random.default_rng(4)
-        config = GaConfig(m_qubits=2, n_layers=3, p_ind=0.7, p_gen=0.5)
+        config = GaConfig(qubits=2, layers=3, p_ind=0.7, p_gen=0.5)
         bits = rng.integers(0, 2, genome_length(2, 3, EncodingMode.FIXED_FEATURES), dtype=np.uint8)
         for _ in range(30):
             out = flipbit_mutation(Individual(bits=bits), config, rng)
@@ -439,11 +439,11 @@ class TestArchive:
 class TestRun:
     def small_config(self, **overrides):
         params = dict(
-            m_qubits=1,
-            n_layers=2,
+            qubits=1,
+            layers=2,
             mu=12,
             lambda_=6,
-            max_generations=25,
+            generations=25,
             patience=0,
             seed=3,
         )
@@ -482,7 +482,7 @@ class TestRun:
     def test_history_covers_every_generation(self, tiny_sep_dataset):
         x, y01 = tiny_sep_dataset
         data = make_eval_data(x, y01)
-        result = run(self.small_config(max_generations=10), data)
+        result = run(self.small_config(generations=10), data)
         assert [r.generation for r in result.history] == list(range(1, 11))
         # every lookup counts, cache hits included: mu initial plus lambda per generation
         assert result.evaluations == result.history[-1].evaluations == 12 + 10 * 6
@@ -490,7 +490,7 @@ class TestRun:
     def test_stagnation_stop(self, tiny_sep_dataset):
         x, y01 = tiny_sep_dataset
         data = make_eval_data(x, y01)
-        result = run(self.small_config(max_generations=200, patience=5), data)
+        result = run(self.small_config(generations=200, patience=5), data)
         assert len(result.history) < 200
 
     def test_best_is_max_accuracy_then_min_ob(self, tiny_sep_dataset):
@@ -517,7 +517,7 @@ class TestRun:
             return evaluate_fitness(ind, data, config)
 
         monkeypatch.setattr(evolve, "evaluate_fitness", counting)
-        config = self.small_config(max_generations=10, lambda_=7, p_cross=0.0, p_ind=0.0)
+        config = self.small_config(generations=10, lambda_=7, p_cross=0.0, p_ind=0.0)
         result = run(config, data)
         assert len(result.history) == 10
         assert sorted(calls) == list(range(config.mu))
@@ -527,7 +527,7 @@ class TestRun:
         # the calling thread.
         x, y01 = tiny_sep_dataset
         data = make_eval_data(x, y01)
-        serial = run(self.small_config(max_generations=8), data)
+        serial = run(self.small_config(generations=8), data)
         evaluating_threads = set()
 
         def spy(ind, data, config):
@@ -535,7 +535,7 @@ class TestRun:
             return evaluate_fitness(ind, data, config)
 
         monkeypatch.setattr(evolve, "evaluate_fitness", spy)
-        threaded = run(self.small_config(max_generations=8), data, threads=4)
+        threaded = run(self.small_config(generations=8), data, threads=4)
         assert [i.fitness for i in serial.archive] == [i.fitness for i in threaded.archive]
         assert evaluating_threads == {threading.main_thread()}
 
@@ -545,13 +545,13 @@ class TestRun:
         x, y01 = tiny_sep_dataset
         data = make_eval_data(x, y01)
         config = GaConfig(
-            m_qubits=1,
-            n_layers=1,
+            qubits=1,
+            layers=1,
             mu=4,
             lambda_=20,
             p_ind=1.0,
             p_gen=0.5,
-            max_generations=5,
+            generations=5,
             patience=0,
         )
         evaluated = []

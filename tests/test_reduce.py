@@ -14,7 +14,7 @@ from qkevolve.reduce import (
     stratified_split,
 )
 
-from oracles import reference_standardize_apply, svd_pca
+from oracles import reference_standardize_apply, reference_test_counts, svd_pca
 
 
 class TestStandardize:
@@ -313,6 +313,31 @@ class TestStratifiedSplit:
             expected = (y == c).sum() * fraction
             got = (y[test] == c).sum()
             assert abs(got - expected) <= 1.0
+
+    @given(
+        st.lists(st.integers(2, 40), min_size=2, max_size=5),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(0, 1000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_remainder_matches_the_cycling_loop(self, sizes, fraction, seed):
+        y = np.repeat(np.arange(len(sizes)), sizes)
+        want = reference_test_counts(y, fraction)
+        try:
+            train, test = stratified_split(np.zeros((y.size, 1)), y, fraction, seed=seed)
+        except ValueError:
+            # rejected exactly when the loop's counts leave no test row or a
+            # class with no training row
+            assert sum(want.values()) == 0 or any(want[c] == n for c, n in enumerate(sizes))
+            return
+        assert {c: int((y[test] == c).sum()) for c in range(len(sizes))} == want
+        # the same split: each class's seeded permutation, its first rows to test
+        rng = np.random.default_rng(seed)
+        parts = [rng.permutation(np.flatnonzero(y == c)) for c in range(len(sizes))]
+        heads = [p[: want[c]] for c, p in enumerate(parts)]
+        tails = [p[want[c]:] for c, p in enumerate(parts)]
+        assert np.array_equal(test, np.sort(np.concatenate(heads)))
+        assert np.array_equal(train, np.sort(np.concatenate(tails)))
 
 
 def permutations_of_1_to_60_rows():

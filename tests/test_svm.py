@@ -28,7 +28,7 @@ def kernel_with_spectrum(rng, eigenvalues):
 def assert_same_model(got, want):
     assert got.dual_coefs.tobytes() == want.dual_coefs.tobytes()
     assert got.bias == want.bias
-    assert np.array_equal(got.support_mask, want.support_mask)
+    assert got.signed_duals.tobytes() == want.signed_duals.tobytes()
 
 
 def random_labels(rng, n):
@@ -42,7 +42,7 @@ class TestFit:
     def test_two_symmetric_points(self):
         model = fit(np.eye(2), np.array([1.0, -1.0]))
         assert model.dual_coefs[0] == pytest.approx(model.dual_coefs[1])
-        assert model.support_mask.all()
+        assert model.n_support == 2
         assert decision(model, np.array([1.0, 0.0])) > 0
         assert decision(model, np.array([0.0, 1.0])) < 0
 
@@ -161,7 +161,11 @@ class TestFit:
                 c_reg=float(rng.choice([0.01, 0.1, 0.5, 1.0, 4.0])),
                 max_passes=int(rng.choice([1, 3, 100_000])),
             )
-            assert_same_model(fit(k, y, config), reference_fit(k, y, config))
+            got = fit(k, y, config)
+            assert_same_model(got, reference_fit(k, y, config))
+            # the stored beta predicts as the labels times |beta| did
+            scores = k @ (got.dual_coefs * y) + got.bias
+            assert np.array_equal(predict(got, k), np.where(scores >= 0.0, 1, -1))
 
     def test_tiny_negative_eigenvalue_returns_unclamped_without_warning(self, caplog):
         rng = np.random.default_rng(227)
@@ -199,13 +203,7 @@ class TestFit:
 
 class TestDecision:
     def test_zero_coefs_returns_bias(self):
-        model = TrainedQSVM(
-            dual_coefs=np.zeros(3),
-            labels=np.array([1.0, -1.0, 1.0]),
-            bias=0.5,
-            support_mask=np.zeros(3, dtype=bool),
-            regularization=1.0,
-        )
+        model = TrainedQSVM(signed_duals=np.zeros(3), bias=0.5, regularization=1.0)
         assert decision(model, np.array([0.2, 0.4, 0.6])) == 0.5
 
     def test_margin_support_vectors_sit_at_unit_decision(self):
@@ -221,15 +219,10 @@ class TestDecision:
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(131)
-        model = TrainedQSVM(
-            dual_coefs=rng.uniform(0, 1, 6),
-            labels=rng.choice([-1.0, 1.0], 6),
-            bias=float(rng.normal()),
-            support_mask=np.ones(6, dtype=bool),
-            regularization=1.0,
-        )
+        alpha, labels = rng.uniform(0, 1, 6), rng.choice([-1.0, 1.0], 6)
+        model = TrainedQSVM(alpha * labels, bias=float(rng.normal()), regularization=1.0)
         row = rng.normal(size=6)
-        by_hand = sum(model.dual_coefs[i] * model.labels[i] * row[i] for i in range(6)) + model.bias
+        by_hand = sum(alpha[i] * labels[i] * row[i] for i in range(6)) + model.bias
         assert decision(model, row) == pytest.approx(by_hand, abs=1e-12)
 
     def test_row_length_checked(self):
@@ -245,13 +238,7 @@ class TestPredict:
         assert preds.tolist() == [1, -1]
 
     def test_tie_goes_positive(self):
-        model = TrainedQSVM(
-            dual_coefs=np.zeros(2),
-            labels=np.array([1.0, -1.0]),
-            bias=0.0,
-            support_mask=np.zeros(2, dtype=bool),
-            regularization=1.0,
-        )
+        model = TrainedQSVM(signed_duals=np.zeros(2), bias=0.0, regularization=1.0)
         assert predict(model, np.zeros((1, 2)))[0] == 1
 
 
