@@ -64,6 +64,10 @@ class ConfigError(ValueError):
         self.detail = detail
 
 
+# SvmConfig's fields and the config keys that set them
+_SVM_KEYS = {"c_reg": "svm_c", "tol": "svm_tol", "max_passes": "svm_max_passes"}
+
+
 @dataclass(kw_only=True)
 class RunConfig(GaConfig):
     """A run's settings: the GA's, with the deployed 6x11 grid as default,
@@ -105,7 +109,13 @@ class RunConfig(GaConfig):
         return GaConfig(**{f.name: getattr(self, f.name) for f in fields(GaConfig)})
 
     def svm_config(self) -> SvmConfig:
-        return SvmConfig(c_reg=self.svm_c, tol=self.svm_tol, max_passes=self.svm_max_passes)
+        """The SVM settings; SvmConfig checks them, and a rejection names the
+        config key instead of SvmConfig's field."""
+        try:
+            return SvmConfig(**{field: getattr(self, key) for field, key in _SVM_KEYS.items()})
+        except ValueError as exc:
+            field, _, rule = str(exc).partition(" ")
+            raise ValueError(f"{_SVM_KEYS[field]} {rule}") from None
 
     def echo(self) -> dict:
         d = asdict(self)

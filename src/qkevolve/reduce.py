@@ -12,9 +12,9 @@ never copied; a caller that still needs its rows passes a copy.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -211,39 +211,52 @@ def reorder_rows(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
 def load_external_features(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a feature CSV: header row, one sample per row, {0, 1} label in the
     final column (which must be named 'label'). Returns the (n x d) feature
-    rows, exactly as stored, and the n labels. Malformed rows, among them non-finite values such as 'nan' or
-    'inf', are rejected with their row number."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty feature file") from None
-        header = [h.strip() for h in header]
-        if len(header) < 2 or header[-1].lower() != "label":
+    rows, exactly as stored, and the n labels. Malformed rows, among them
+    blank lines, quoted fields and non-finite values such as 'nan' or 'inf',
+    are rejected with their row number.
+
+    The header, column counts and labels are checked as strings; the feature
+    columns are then parsed by one `np.loadtxt` call, whose C reader converts
+    each value with the routine `float()` uses, so each is bit-identical to
+    `float()` of its text (but `_` between digits is rejected)."""
+    with open(path) as fh:  # universal newlines: CRLF and LF files read alike
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ValueError(f"{path}: empty feature file")
+    header = [h.strip() for h in lines[0].split(",")]
+    if len(header) < 2 or header[-1].lower() != "label":
+        raise ValueError(
+            f"{path}: header must list at least one feature column and end with 'label'"
+        )
+    width = len(header)
+    body = lines[1:]
+    if not body:
+        raise ValueError(f"{path}: feature file has no data rows")
+    labels = []
+    for row_no, line in enumerate(body, start=2):
+        if line.count(",") != width - 1:
             raise ValueError(
-                f"{path}: header must list at least one feature column and end with 'label'"
+                f"{path}: row {row_no}: expected {width} columns, found {line.count(',') + 1}"
             )
-        width = len(header)
-        rows, labels = [], []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise ValueError(
-                    f"{path}: row {row_no}: expected {width} columns, found {len(row)}"
-                )
+        label_text = line.rpartition(",")[2].strip()
+        if label_text not in ("0", "1"):
+            raise ValueError(
+                f"{path}: row {row_no}: unknown label {label_text!r} (expected 0 or 1)"
+            )
+        labels.append(int(label_text))
+    parse = partial(np.loadtxt, delimiter=",", comments=None, usecols=range(width - 1), ndmin=2)
+    try:
+        features = parse(body)
+    except ValueError:
+        # only on error: the first line that fails on its own names the row
+        for row_no, line in enumerate(body, start=2):
             try:
-                rows.append([float(v) for v in row[:-1]])
+                parse([line])
             except ValueError:
                 raise ValueError(f"{path}: row {row_no}: non-numeric feature value") from None
-            label_text = row[-1].strip()
-            if label_text not in ("0", "1"):
-                raise ValueError(
-                    f"{path}: row {row_no}: unknown label {label_text!r} (expected 0 or 1)"
-                )
-            labels.append(int(label_text))
-    if not rows:
-        raise ValueError(f"{path}: feature file has no data rows")
-    features = np.asarray(rows, dtype=float)
+        raise
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: row {bad[0] + 2}: non-finite feature value")

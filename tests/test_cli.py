@@ -186,10 +186,8 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as excinfo:
             parse_config_file(path)
         assert excinfo.value.code == "config-value"
-        # the message names the key the file can contain; the svm_* keys are
-        # the exception, as their messages name SvmConfig's fields
-        if not key.startswith("svm_"):
-            assert re.search(rf"(?<!\w){key}\b", excinfo.value.detail), excinfo.value.detail
+        # the message names the key the file can contain
+        assert re.search(rf"(?<!\w){key}\b", excinfo.value.detail), excinfo.value.detail
 
     @pytest.mark.parametrize("key, value", OUT_OF_RANGE + [("mode", "magic")])
     def test_out_of_range_value_rejected_when_built_in_code(self, tmp_path, key, value):

@@ -437,3 +437,72 @@ class TestLoadExternalFeatures:
         path = self.write(tmp_path, "f0,f1,label\n0.25,-3.5,1\n1.0,2.0,0")
         rows, _ = load_external_features(path)
         assert rows.tolist() == [[0.25, -3.5], [1.0, 2.0]]
+
+    def test_blank_line_in_body_rejected_with_row_number(self, tmp_path):
+        path = self.write(tmp_path, "f0,f1,label\n0.1,0.2,0\n\n0.3,0.4,1\n")
+        with pytest.raises(ValueError, match="row 3: expected 3 columns"):
+            load_external_features(path)
+
+    @pytest.mark.parametrize("line", ["# a comment", "#0.3,0.4,1"])
+    def test_hash_led_line_in_body_rejected_with_row_number(self, tmp_path, line):
+        path = self.write(tmp_path, f"f0,f1,label\n0.1,0.2,0\n{line}\n0.5,0.6,1\n")
+        with pytest.raises(ValueError, match="row 3: "):
+            load_external_features(path)
+
+    def test_crlf_file_reads_as_lf_file(self, tmp_path):
+        rng = np.random.default_rng(3)
+        lines = ["f0,f1,f2,label"] + [
+            ",".join(repr(v) for v in rng.normal(size=3).tolist()) + f",{i % 2}" for i in range(6)
+        ]
+        lf = load_external_features(self.write(tmp_path, "\n".join(lines) + "\n", "lf.csv"))
+        crlf_path = tmp_path / "crlf.csv"
+        crlf_path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        crlf = load_external_features(crlf_path)
+        assert crlf[0].tobytes() == lf[0].tobytes()
+        assert crlf[1].tobytes() == lf[1].tobytes()
+
+    def test_underscore_digit_separator_rejected_with_row_number(self, tmp_path):
+        # float("1_000") is 1000.0, but the file grammar has no separators
+        path = self.write(tmp_path, "f0,f1,label\n0.1,0.2,0\n1_000,0.4,1\n")
+        with pytest.raises(ValueError, match="row 3: non-numeric feature value"):
+            load_external_features(path)
+
+    @pytest.mark.parametrize(
+        "line, what",
+        [('"0.3",0.4,1', "non-numeric feature value"), ('0.3,0.4,"1"', "unknown label")],
+    )
+    def test_quoted_field_rejected_with_row_number(self, tmp_path, line, what):
+        path = self.write(tmp_path, f"f0,f1,label\n0.1,0.2,0\n{line}\n")
+        with pytest.raises(ValueError, match=f"row 3: {what}"):
+            load_external_features(path)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["", "+", "-"]),
+                st.text("0123456789", max_size=6),
+                st.none() | st.text("0123456789", max_size=20),
+                st.none()
+                | st.tuples(st.sampled_from("eE"), st.booleans(), st.integers(-330, 300)),
+            ).filter(lambda t: t[1] or t[2]),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_values_bit_identical_to_float(self, tmp_path_factory, parts):
+        """Signed, '+'-led, '.5', '5.' and exponent forms, down to subnormal
+        and underflowing exponents, parse as float() parses them."""
+        texts = []
+        for sign, whole, frac, exp in parts:
+            text = sign + whole + ("" if frac is None else "." + frac)
+            if exp is not None:
+                mark, plus, power = exp
+                text += mark + ("+" if plus and power >= 0 else "") + str(power)
+            texts.append(text)
+        path = tmp_path_factory.mktemp("csv") / "features.csv"
+        body = "\n".join(f"{t},{i % 2}" for i, t in enumerate(texts))
+        path.write_text("f0,label\n" + body + "\n")
+        rows, labels = load_external_features(path)
+        assert rows.tobytes() == np.array([[float(t)] for t in texts]).tobytes()
+        assert labels.tolist() == [i % 2 for i in range(len(texts))]
