@@ -89,8 +89,8 @@ def train(
     x_train: np.ndarray,
     y_train: np.ndarray,
     lr: float,
-    epochs: int = 100,
-    seed: int = 0,
+    epochs: int,
+    seed: int,
 ) -> MlpModel:
     """Full-batch Adam; the per-epoch loss curve is stored on the model."""
     check_training_params(lr, epochs)

@@ -3,7 +3,7 @@
 Subcommands:
   run       --config FILE   full pipeline: ingest, split, standardize, evolve,
                             optional MLP baseline, write report/history/archive
-  inspect   --genome BITS --config FILE   decode and print one individual
+  inspect   --genome BITS --config FILE   score and print one individual
   baseline  --config FILE   classical PCA(64)+MLP comparison only
 
 The config file is flat `key = value` text, one key per line; a '#' at the
@@ -29,11 +29,12 @@ import numpy as np
 
 from . import baseline as baseline_mod
 from . import evolve
-from .circuit import build_feature_map, complexity, diagram
+from .circuit import diagram
 from .evolve import (
     EvalData,
     GaConfig,
     HistoryRow,
+    Individual,
     compile_individual,
     run as run_ga,
     train_individual,
@@ -134,7 +135,7 @@ _CONFIG_TYPES = {
 }
 
 
-def parse_config_file(path, require_dataset: bool = True) -> RunConfig:
+def parse_config_file(path) -> RunConfig:
     """Parse and validate a flat key=value config file."""
     path = Path(path)
     if not path.is_file():
@@ -172,12 +173,11 @@ def parse_config_file(path, require_dataset: bool = True) -> RunConfig:
         config = RunConfig(**values)
     except ValueError as exc:
         raise ConfigError("config-value", str(exc)) from None
-    if require_dataset:
-        # pca reads a directory of class folders, external one feature file
-        kind = "directory" if config.mode == "pca" else "file"
-        if not (config.dataset.is_dir() if kind == "directory" else config.dataset.is_file()):
-            problem = f"is not a {kind}" if config.dataset.exists() else "does not exist"
-            raise ConfigError("dataset-missing", f"dataset path {problem}: {config.dataset}")
+    # pca reads a directory of class folders, external one feature file
+    kind = "directory" if config.mode == "pca" else "file"
+    if not (config.dataset.is_dir() if kind == "directory" else config.dataset.is_file()):
+        problem = f"is not a {kind}" if config.dataset.exists() else "does not exist"
+        raise ConfigError("dataset-missing", f"dataset path {problem}: {config.dataset}")
     return config
 
 
@@ -267,7 +267,7 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - wy) + bottom * wy
 
 
-def load_image_dataset(root, image_size: int = 250) -> tuple[np.ndarray, np.ndarray]:
+def load_image_dataset(root, image_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Load a two-class grayscale image tree as (rows, labels): one
     subdirectory per class, labels 0/1 assigned by lexicographic directory
     order. Every image is scaled to [0, 1], resized to image_size x image_size
@@ -482,25 +482,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    config = parse_config_file(args.config, require_dataset=False)
-    bits = line_to_bits(args.genome)
-    try:
-        genome = decode_genome(bits, config.qubits, config.layers, config.encoding_mode)
+    config = parse_config_file(args.config)
+    ind = Individual(bits=line_to_bits(args.genome))
+    try:  # the length is checked before any data is read
+        decode_genome(ind.bits, config.qubits, config.layers, config.encoding_mode)
     except ValueError as exc:
         raise ConfigError("genome-length", str(exc)) from None
-    dim = EXTERNAL_FEATURE_DIM if genome.pca_components is None else genome.pca_components
-    circ = build_feature_map(genome, dim)
-    if genome.pca_components is not None:
-        print(f"pca_components: {genome.pca_components} requested")
-        print(
-            f"note: a run uses min(requested, n_train - 1, image_size² = {config.image_size**2}) "
-            "components; its report.json gives pca_components_effective and the circuit it "
-            "evaluated"
-        )
-    print(f"complexity: {complexity(circ)}")
-    census = circ.census
-    print(f"gates: {census.n_local} local, {census.n_cnot} cnot, {census.n_identity} identity")
-    print(diagram(circ))
+    prepared = prepare_data(config)
+    ind.fitness = evolve.evaluate_fitness(ind, prepared.eval_data, config)
+    record = _individual_record(ind, config, prepared)
+    circuit = record.pop("circuit")
+    print(json.dumps(record, sort_keys=True))
+    print(circuit)
     return 0
 
 
@@ -523,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute the full pipeline")
     p_run.add_argument("--config", required=True)
     p_run.set_defaults(func=_cmd_run)
-    p_inspect = sub.add_parser("inspect", help="decode and print one genome")
+    p_inspect = sub.add_parser("inspect", help="score and print one genome")
     p_inspect.add_argument("--genome", required=True)
     p_inspect.add_argument("--config", required=True)
     p_inspect.set_defaults(func=_cmd_inspect)

@@ -141,7 +141,7 @@ def check_test_fraction(test_fraction: float) -> None:
 
 
 def stratified_split(
-    x: np.ndarray, y: np.ndarray, test_fraction: float = 0.25, seed: int = 0
+    x: np.ndarray, y: np.ndarray, test_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic per-class split into (train_indices, test_indices).
 

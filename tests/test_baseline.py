@@ -105,7 +105,7 @@ class TestTrain:
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
-            train(np.zeros((4, 2)), np.array([0, 1, 2, 1]), lr=0.01, epochs=1)
+            train(np.zeros((4, 2)), np.array([0, 1, 2, 1]), lr=0.01, epochs=1, seed=0)
 
 
 class TestEvaluate:

@@ -288,7 +288,7 @@ class TestLoadImageDataset:
             d.mkdir(parents=True)
             for k in range(count):
                 write_pgm(d / f"{k}.pgm", np.full((6, 6), value))
-        rows, labels = load_image_dataset(root)  # default 250x250 target
+        rows, labels = load_image_dataset(root, 250)
         assert rows.shape == (5, 62500)
         assert labels.tolist() == [0, 0, 0, 1, 1]  # classA sorts first
         assert np.allclose(rows[0], 30 / 255)
@@ -344,7 +344,7 @@ class TestLoadImageDataset:
         (root / "only").mkdir(parents=True)
         write_pgm(root / "only" / "x.pgm", np.zeros((4, 4), dtype=int))
         with pytest.raises(ValueError, match="exactly 2"):
-            load_image_dataset(root)
+            load_image_dataset(root, 250)
 
 
 class TestPipeline:
@@ -521,30 +521,64 @@ class TestCommands:
             assert not (tmp_path / "fail" / name).exists()
 
     def test_inspect_prints_circuit(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path / "i.cfg",
-            mode="pca",
-            dataset=tmp_path,  # unused by inspect
-            output_dir=tmp_path,
-            qubits=2,
-            layers=1,
-            image_size=12,
-        )
+        dataset = make_image_tree(tmp_path / "data")
+        cfg = small_run_config(tmp_path, dataset, "i", layers=1)
         genome = "0000000" + "0000111" + "1010000"  # header=1 comp; Rx(x0*pi); CNOT
         assert main(["inspect", "--genome", genome, "--config", str(cfg)]) == 0
-        out = capsys.readouterr().out
-        assert "pca_components: 1 requested" in out
-        assert "min(requested, n_train - 1, image_size² = 144)" in out
-        assert "pca_components_effective" in out
-        assert "complexity: 1.5" in out
-        assert "Rx(x0·π)" in out and "●" in out
+        fields, _, circuit = capsys.readouterr().out.partition("\n")
+        record = json.loads(fields)
+        assert sorted(record) == [
+            "accuracy", "bitstring", "complexity", "objective_balance",
+            "pca_components", "pca_components_effective",
+        ]
+        assert record["bitstring"] == genome
+        assert record["pca_components"] == record["pca_components_effective"] == 1
+        assert record["complexity"] == 1.5
+        assert 0.0 <= record["accuracy"] <= 1.0
+        assert record["objective_balance"] == 1.5 + 1.5 * record["accuracy"] ** 2
+        assert "Rx(x0·π)" in circuit and "●" in circuit
 
-    def test_inspect_wrong_length_fails(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path / "i.cfg", mode="pca", dataset=tmp_path, output_dir=tmp_path, qubits=2, layers=1
-        )
+    @pytest.mark.parametrize("mode", ["pca", "external"])
+    def test_inspect_prints_each_archive_record(self, tmp_path, capsys, mode, two_gauss_dataset):
+        if mode == "pca":
+            # 12 training rows: a header asking for more than 11 components uses 11
+            dataset = make_image_tree(tmp_path / "data")
+        else:
+            dataset = tmp_path / "features.csv"
+            x, y01 = two_gauss_dataset
+            header = ",".join([f"f{i}" for i in range(64)] + ["label"])
+            rows = [",".join(map(str, row)) + f",{label}" for row, label in zip(x[:60], y01[:60])]
+            dataset.write_text(header + "\n" + "\n".join(rows) + "\n")
+        cfg = small_run_config(tmp_path, dataset, mode=mode, generations=6, baseline="false")
+        assert main(["run", "--config", str(cfg)]) == 0
+        archive = json.loads((tmp_path / "out" / "archive.json").read_text())
+        if mode == "pca":
+            assert any(r["pca_components_effective"] < r["pca_components"] for r in archive)
+        capsys.readouterr()
+        for record in archive:
+            assert main(["inspect", "--genome", record["bitstring"], "--config", str(cfg)]) == 0
+            fields, _, circuit = capsys.readouterr().out.partition("\n")
+            assert {**json.loads(fields), "circuit": circuit} == {
+                **record, "circuit": record["circuit"] + "\n"
+            }
+
+    def test_inspect_wrong_length_fails(self, tmp_path, capsys, monkeypatch):
+        dataset = make_image_tree(tmp_path / "data")
+        cfg = small_run_config(tmp_path, dataset, "i", layers=1)
+
+        def no_data(config):
+            raise AssertionError("inspect read the dataset")
+
+        monkeypatch.setattr(cli, "prepare_data", no_data)
         assert main(["inspect", "--genome", "010", "--config", str(cfg)]) == 2
         assert "genome-length" in capsys.readouterr().err
+
+    def test_inspect_without_its_dataset_fails(self, tmp_path, capsys):
+        cfg = small_run_config(tmp_path, tmp_path / "missing", "i", layers=1)
+        assert main(["inspect", "--genome", "0" * 21, "--config", str(cfg)]) == 2
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert parsed["error"] == "dataset-missing"
+        assert "does not exist" in parsed["detail"]
 
     def test_baseline_command(self, tmp_path, capsys):
         dataset = make_image_tree(tmp_path / "data")

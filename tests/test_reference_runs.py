@@ -9,6 +9,9 @@ before/after of the change.
   side: 64 of 149 components)
 - external: the 64-feature CSV, with baseline (the baseline fits its own PCA)
 
+The runs never reach the solver's hard cases, so solver.json also pins about
+20 single fits on the pca8 data, chosen for them (SOLVER_GENOMES).
+
 Compared exactly: bitstrings, eval ids, split indices, accuracies,
 complexities, O_B and everything else in report.json and history.csv
 except the wall clock and the run's paths. Accuracies are k / n_test and
@@ -24,6 +27,7 @@ Regenerate, after a change that is meant to alter results:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -31,9 +35,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qkevolve import cli
+from qkevolve import cli, evolve
+from qkevolve.genome import HEADER_BITS, bits_to_line, genome_length, random_bits
 
 REFERENCE_DIR = Path(__file__).with_name("reference_runs")
 MAKE_DATA = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_data.py"
@@ -59,6 +65,32 @@ FLOAT_FIELDS = {
     "dual_coefs": dict(rel=0.0, abs=1e-6),
     "bias": dict(rel=0.0, abs=1e-6),
     "final_loss": dict(rel=1e-9, abs=0.0),
+}
+
+# solver.json: single fits scored through evaluate_fitness on the pca8 data
+# (split seed RUN_SETTINGS["seed"], 150 training rows) with the deployed 6 x 11
+# grid. Each genome is random_bits from default_rng(seed). In "one_component"
+# its header is zeroed, asking for one component: every rotation then reads
+# x0, the kernel is low-rank and SMO crawls. Steps counted when the set was
+# chosen: seed 18 stops at max_passes (100,000) at tol 1e-6; 0, 2, 4, 6, 11,
+# 19 and 22 take 8,167-77,926 steps, past 20 n; 1, 5, 26 and 37 take
+# 1,678-2,567, past 10 n. "random_header" keeps its header: ordinary fits of
+# 358-1,065 steps.
+SOLVER_GENOMES = {
+    "one_component": (18, 0, 2, 4, 6, 11, 19, 22, 1, 5, 26, 37),
+    "random_header": (0, 3, 5, 13, 14, 23, 37, 39),
+}
+# The fitness pair compares exactly, the solver's outputs within these
+# tolerances. Measured when the set was pinned: one BLAS thread instead of two
+# moved the dual objective by at most 5.9e-9 and the bias by at most 5.3e-7;
+# K perturbed by a symmetric +-1 ulp moved them by at most 2.3e-8 and 1.2e-6
+# (both worst on seed 18's fit, stopped at max_passes). Neither moved an
+# n_support. An svm_tol of 1e-4 instead of 1e-6 moves all 12 one-component
+# fits past these tolerances and no fitness pair.
+SOLVER_FIELDS = {
+    "dual_objective": dict(rel=0.0, abs=1e-6),
+    "bias": dict(rel=0.0, abs=1e-5),
+    "n_support": dict(rel=0.0, abs=1),
 }
 
 
@@ -116,24 +148,71 @@ def run_reference(name: str, data_dirs: dict[int, Path], workdir: Path) -> dict:
     }
 
 
-def mismatches(got, want, path="") -> list[str]:
+def mismatches(got, want, path="", tolerances=FLOAT_FIELDS) -> list[str]:
     """Paths where `got` differs from `want`: exactly, except under a key in
-    FLOAT_FIELDS, where numbers compare within that key's tolerance."""
+    `tolerances`, where numbers compare within that key's tolerance."""
     key = path.rsplit(".", 1)[-1].split("[", 1)[0]
     if isinstance(want, dict) and isinstance(got, dict):
         if got.keys() != want.keys():
             return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
-        return [m for k in want for m in mismatches(got[k], want[k], f"{path}.{k}")]
+        return [m for k in want for m in mismatches(got[k], want[k], f"{path}.{k}", tolerances)]
     if isinstance(want, list) and isinstance(got, list):
         if len(got) != len(want):
             return [f"{path}: length {len(got)} != {len(want)}"]
-        return [m for i, (g, w) in enumerate(zip(got, want)) for m in mismatches(g, w, f"{path}[{i}]")]
-    if key in FLOAT_FIELDS and isinstance(want, float) and isinstance(got, (int, float)):
-        tol = FLOAT_FIELDS[key]
+        return [
+            m for i, (g, w) in enumerate(zip(got, want))
+            for m in mismatches(g, w, f"{path}[{i}]", tolerances)
+        ]
+    if key in tolerances and isinstance(want, (int, float)) and isinstance(got, (int, float)):
+        tol = tolerances[key]
         ok = math.isclose(got, want, rel_tol=tol["rel"], abs_tol=tol["abs"])
     else:
         ok = type(got) is type(want) and got == want
     return [] if ok else [f"{path}: {got!r} != pinned {want!r}"]
+
+
+def solver_fits(data_dirs: dict[int, Path]) -> dict[str, list[dict]]:
+    """Score each SOLVER_GENOMES genome through evaluate_fitness and return
+    what is pinned: its bitstring, fitness pair, and the fit's n_support,
+    bias and dual objective sum(alpha) - beta^T K beta / 2 on the K it got."""
+    images = data_dirs[8] / "images"
+    config = cli.RunConfig(  # output_dir is never written: only prepare_data reads the config
+        mode="pca", dataset=images, output_dir=images, image_size=8, seed=RUN_SETTINGS["seed"]
+    )
+    data = cli.prepare_data(config).eval_data
+    length = genome_length(config.qubits, config.layers, data.mode)
+    fits = []
+    real_fit = evolve.svm.fit
+
+    def capturing_fit(k, y, svm_config):
+        model = real_fit(k, y, svm_config)
+        beta = model.signed_duals
+        fits.append({
+            "n_support": model.n_support,
+            "bias": model.bias,
+            "dual_objective": float(beta @ y - 0.5 * (beta @ k @ beta)),
+        })
+        return model
+
+    pinned: dict[str, list[dict]] = {}
+    evolve.svm.fit = capturing_fit
+    try:
+        for group, seeds in SOLVER_GENOMES.items():
+            pinned[group] = []
+            for seed in seeds:
+                bits = random_bits(length, np.random.default_rng(seed))
+                if group == "one_component":
+                    bits[:HEADER_BITS] = 0
+                fitness = evolve.evaluate_fitness(evolve.Individual(bits=bits), data, config)
+                pinned[group].append({
+                    "seed": seed,
+                    "bitstring": bits_to_line(bits),
+                    "fitness": dataclasses.asdict(fitness),
+                    **fits.pop(),
+                })
+    finally:
+        evolve.svm.fit = real_fit
+    return pinned
 
 
 @pytest.fixture(scope="module")
@@ -141,11 +220,9 @@ def data_dirs(tmp_path_factory):
     return make_data(tmp_path_factory.mktemp("reference-data"))
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_run_matches_pinned_outputs(name, data_dirs, tmp_path):
+def assert_pinned(got, name: str, tolerances=FLOAT_FIELDS) -> None:
     pinned = json.loads((REFERENCE_DIR / f"{name}.json").read_text())
-    got = run_reference(name, data_dirs, tmp_path)
-    problems = mismatches(got, pinned, name)
+    problems = mismatches(got, pinned, name, tolerances)
     assert not problems, (
         f"{len(problems)} pinned fields differ (regenerate with "
         "`PYTHONPATH=src python tests/test_reference_runs.py` if intended):\n"
@@ -153,15 +230,25 @@ def test_run_matches_pinned_outputs(name, data_dirs, tmp_path):
     )
 
 
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_matches_pinned_outputs(name, data_dirs, tmp_path):
+    assert_pinned(run_reference(name, data_dirs, tmp_path), name)
+
+
+def test_solver_matches_pinned_fits(data_dirs):
+    assert_pinned(solver_fits(data_dirs), "solver", SOLVER_FIELDS)
+
+
 def regenerate() -> None:
     REFERENCE_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         data_dirs = make_data(Path(tmp))
-        for name in sorted(RUNS):
-            pinned = run_reference(name, data_dirs, Path(tmp))
-            path = REFERENCE_DIR / f"{name}.json"
-            path.write_text(json.dumps(pinned, indent=1, sort_keys=True, ensure_ascii=False) + "\n")
-            print(f"wrote {path}")
+        outputs = {name: run_reference(name, data_dirs, Path(tmp)) for name in sorted(RUNS)}
+        outputs["solver"] = solver_fits(data_dirs)
+    for name, pinned in outputs.items():
+        path = REFERENCE_DIR / f"{name}.json"
+        path.write_text(json.dumps(pinned, indent=1, sort_keys=True, ensure_ascii=False) + "\n")
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":
