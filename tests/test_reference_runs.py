@@ -19,9 +19,11 @@ complexities come from the gate census, so last-bit BLAS differences cannot
 move them unless a prediction sits exactly on the decision boundary.
 Compared within a tolerance: the float-sensitive fields in FLOAT_FIELDS.
 
-Regenerate, after a change that is meant to alter results:
+Regenerate, after a change that is meant to alter results, on two OpenBLAS
+threads, the setting that wrote the committed files (regenerate() refuses any
+other, since the thread count moves the last bits of a fit):
 
-    PYTHONPATH=src python tests/test_reference_runs.py
+    OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python tests/test_reference_runs.py
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import logging
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -38,7 +42,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkevolve import cli, evolve
+from qkevolve import cli, evolve, svm
 from qkevolve.genome import HEADER_BITS, bits_to_line, genome_length, random_bits
 
 REFERENCE_DIR = Path(__file__).with_name("reference_runs")
@@ -51,16 +55,23 @@ RUNS = {
     "external": (8, "external", "features.csv"),
 }
 DATA_SEEDS = {8: 3, 16: 4}
+# Pinned at an svm_tol of 1e-6, not the default 1e-4 (see FLOAT_FIELDS).
+PINNED_SVM_TOL = 1e-6
 RUN_SETTINGS = {
     "qubits": 2, "layers": 3, "mu": 10, "lambda": 6, "generations": 5, "patience": 0, "seed": 5,
-    "baseline": "true", "baseline_epochs": 40,
+    "baseline": "true", "baseline_epochs": 40, "svm_tol": PINNED_SVM_TOL,
 }
+BLAS_THREADS = "2"  # the OPENBLAS_NUM_THREADS that wrote the pinned files
 
-# The SVM dual stops once every KKT violation is below its tol (1e-6), so a
-# kernel that differs from the pinned one in the last bits, from another BLAS
-# or CPU, may stop at duals and a bias that differ on that scale. The MLP
-# baseline's loss is a smooth function of its inputs after a fixed number of
-# full-batch steps, so rounding moves it far less than 1e-9 relative.
+# The SVM dual stops once every KKT violation is below its tol, so a kernel
+# that differs from the pinned one in the last bits, from another BLAS or CPU,
+# may stop at duals and a bias that differ on that scale: abs 1e-6 at the
+# pinned tol of 1e-6. At the default 1e-4, one BLAS thread instead of two
+# moved a dual by up to 2.0e-5 and a bias by up to 1.7e-5, and a symmetric
+# +-1 ulp K moved them by up to 7.2e-5 and 1.8e-5, past these tolerances (no
+# bitstring, fitness or n_support moved). The MLP baseline's loss is a smooth
+# function of its inputs after a fixed number of full-batch steps, so rounding
+# moves it far less than 1e-9 relative.
 FLOAT_FIELDS = {
     "dual_coefs": dict(rel=0.0, abs=1e-6),
     "bias": dict(rel=0.0, abs=1e-6),
@@ -71,11 +82,12 @@ FLOAT_FIELDS = {
 # (split seed RUN_SETTINGS["seed"], 150 training rows) with the deployed 6 x 11
 # grid. Each genome is random_bits from default_rng(seed). In "one_component"
 # its header is zeroed, asking for one component: every rotation then reads
-# x0, the kernel is low-rank and SMO crawls. Steps counted when the set was
-# chosen: seed 18 stops at max_passes (100,000) at tol 1e-6; 0, 2, 4, 6, 11,
-# 19 and 22 take 8,167-77,926 steps, past 20 n; 1, 5, 26 and 37 take
-# 1,678-2,567, past 10 n. "random_header" keeps its header: ordinary fits of
-# 358-1,065 steps.
+# x0, the kernel is low-rank and SMO crawls. Steps counted with a copy of
+# svm.fit at tol 1e-6 (pinned), then at the default 1e-4: seed 18 stops at
+# max_passes (100,000), then takes 15,301; 0, 2, 4, 6, 11, 19 and 22 take
+# 8,167-73,926, past 20 n, then 3,146-24,935; 1, 5, 26 and 37 take
+# 1,678-2,624, then 915-1,506. "random_header" keeps its header: ordinary fits
+# of 358-1,065 steps, then 249-554.
 SOLVER_GENOMES = {
     "one_component": (18, 0, 2, 4, 6, 11, 19, 22, 1, 5, 26, 37),
     "random_header": (0, 3, 5, 13, 14, 23, 37, 39),
@@ -85,8 +97,8 @@ SOLVER_GENOMES = {
 # moved the dual objective by at most 5.9e-9 and the bias by at most 5.3e-7;
 # K perturbed by a symmetric +-1 ulp moved them by at most 2.3e-8 and 1.2e-6
 # (both worst on seed 18's fit, stopped at max_passes). Neither moved an
-# n_support. An svm_tol of 1e-4 instead of 1e-6 moves all 12 one-component
-# fits past these tolerances and no fitness pair.
+# n_support. The default svm_tol (1e-4) moves all 12 one-component fits past
+# these tolerances and no fitness pair (test_solver_fits_at_the_default_tol).
 SOLVER_FIELDS = {
     "dual_objective": dict(rel=0.0, abs=1e-6),
     "bias": dict(rel=0.0, abs=1e-5),
@@ -171,13 +183,16 @@ def mismatches(got, want, path="", tolerances=FLOAT_FIELDS) -> list[str]:
     return [] if ok else [f"{path}: {got!r} != pinned {want!r}"]
 
 
-def solver_fits(data_dirs: dict[int, Path]) -> dict[str, list[dict]]:
+def solver_fits(
+    data_dirs: dict[int, Path], svm_tol: float = PINNED_SVM_TOL
+) -> dict[str, list[dict]]:
     """Score each SOLVER_GENOMES genome through evaluate_fitness and return
     what is pinned: its bitstring, fitness pair, and the fit's n_support,
     bias and dual objective sum(alpha) - beta^T K beta / 2 on the K it got."""
     images = data_dirs[8] / "images"
     config = cli.RunConfig(  # output_dir is never written: only prepare_data reads the config
-        mode="pca", dataset=images, output_dir=images, image_size=8, seed=RUN_SETTINGS["seed"]
+        mode="pca", dataset=images, output_dir=images, image_size=8, seed=RUN_SETTINGS["seed"],
+        svm_tol=svm_tol,
     )
     data = cli.prepare_data(config).eval_data
     length = genome_length(config.qubits, config.layers, data.mode)
@@ -224,8 +239,8 @@ def assert_pinned(got, name: str, tolerances=FLOAT_FIELDS) -> None:
     pinned = json.loads((REFERENCE_DIR / f"{name}.json").read_text())
     problems = mismatches(got, pinned, name, tolerances)
     assert not problems, (
-        f"{len(problems)} pinned fields differ (regenerate with "
-        "`PYTHONPATH=src python tests/test_reference_runs.py` if intended):\n"
+        f"{len(problems)} pinned fields differ (regenerate with `OPENBLAS_NUM_THREADS="
+        f"{BLAS_THREADS} PYTHONPATH=src python tests/test_reference_runs.py` if intended):\n"
         + "\n".join(problems[:20])
     )
 
@@ -235,11 +250,38 @@ def test_run_matches_pinned_outputs(name, data_dirs, tmp_path):
     assert_pinned(run_reference(name, data_dirs, tmp_path), name)
 
 
-def test_solver_matches_pinned_fits(data_dirs):
-    assert_pinned(solver_fits(data_dirs), "solver", SOLVER_FIELDS)
+def max_passes_stops(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if "SMO stopped at max_passes" in r.getMessage()]
+
+
+def test_solver_matches_pinned_fits(data_dirs, caplog):
+    with caplog.at_level(logging.WARNING, logger=svm.log.name):
+        fits = solver_fits(data_dirs)
+    assert_pinned(fits, "solver", SOLVER_FIELDS)
+    assert len(max_passes_stops(caplog)) == 1  # seed 18's, at tol 1e-6
+
+
+def test_solver_fits_at_the_default_tol(data_dirs, caplog):
+    """At the default svm_tol no hard case stops at max_passes, and every
+    genome scores its pinned fitness pair."""
+    with caplog.at_level(logging.WARNING, logger=svm.log.name):
+        fits = solver_fits(data_dirs, svm_tol=svm.SvmConfig.tol)
+    assert max_passes_stops(caplog) == []
+    pinned = json.loads((REFERENCE_DIR / "solver.json").read_text())
+    assert {group: [(f["bitstring"], f["fitness"]) for f in fits[group]] for group in fits} == {
+        group: [(f["bitstring"], f["fitness"]) for f in pinned[group]] for group in pinned
+    }
 
 
 def regenerate() -> None:
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    if threads != BLAS_THREADS:
+        sys.exit(
+            f"regenerate on {BLAS_THREADS} BLAS threads, the setting that wrote the pinned "
+            f"files (OPENBLAS_NUM_THREADS is {threads!r}): the thread count moves the last "
+            f"bits of a fit. Run `OPENBLAS_NUM_THREADS={BLAS_THREADS} PYTHONPATH=src "
+            "python tests/test_reference_runs.py`."
+        )
     REFERENCE_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         data_dirs = make_data(Path(tmp))
