@@ -22,6 +22,7 @@ import re
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields
+from enum import Enum
 from pathlib import Path
 from typing import get_type_hints
 
@@ -76,7 +77,7 @@ class RunConfig(GaConfig):
 
     qubits: int = 6
     layers: int = 11
-    mode: str  # "pca" or "external"
+    mode: EncodingMode
     dataset: Path
     output_dir: Path
     image_size: int = 250
@@ -92,18 +93,13 @@ class RunConfig(GaConfig):
         """Every run rule, checked once, so no RunConfig exists that a run
         would reject, whether it was parsed from a file or built in code."""
         self.dataset, self.output_dir = Path(self.dataset), Path(self.output_dir)
-        if self.mode not in ("pca", "external"):
-            raise ValueError("mode must be 'pca' or 'external'")
+        self.mode = EncodingMode(self.mode)
         if self.image_size < 1:
             raise ValueError("image_size must be at least 1")
         check_test_fraction(self.test_fraction)
         baseline_mod.check_training_params(self.baseline_lr, self.baseline_epochs)
         super().__post_init__()
         self.svm_config()
-
-    @property
-    def encoding_mode(self) -> EncodingMode:
-        return EncodingMode.PCA_HEADER if self.mode == "pca" else EncodingMode.FIXED_FEATURES
 
     def ga_config(self) -> GaConfig:
         """The GA settings alone, which only perfbench asks for (ROADMAP item 4)."""
@@ -120,6 +116,7 @@ class RunConfig(GaConfig):
 
     def echo(self) -> dict:
         d = asdict(self)
+        d["mode"] = self.mode.value
         d["dataset"] = str(self.dataset)
         d["output_dir"] = str(self.output_dir)
         d["lambda"] = d.pop("lambda_")
@@ -160,8 +157,11 @@ def parse_config_file(path) -> RunConfig:
         try:
             values[key] = _BOOLS[text.lower()] if typ is bool else typ(text)
         except (KeyError, ValueError):
+            expected = (
+                " or ".join(repr(m.value) for m in typ) if issubclass(typ, Enum) else typ.__name__
+            )
             raise ConfigError(
-                "config-value", f"line {line_no}: cannot parse {text!r} as {typ.__name__}"
+                "config-value", f"line {line_no}: cannot parse {text!r} for {key!r} as {expected}"
             ) from None
 
     for required in ("mode", "dataset", "output_dir"):
@@ -174,7 +174,7 @@ def parse_config_file(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError("config-value", str(exc)) from None
     # pca reads a directory of class folders, external one feature file
-    kind = "directory" if config.mode == "pca" else "file"
+    kind = "directory" if config.mode is EncodingMode.PCA_HEADER else "file"
     if not (config.dataset.is_dir() if kind == "directory" else config.dataset.is_file()):
         problem = f"is not a {kind}" if config.dataset.exists() else "does not exist"
         raise ConfigError("dataset-missing", f"dataset path {problem}: {config.dataset}")
@@ -324,8 +324,7 @@ def prepare_data(config: RunConfig) -> PreparedData:
     header can request, and only those scores are kept. The ingested matrix
     is the only full-size one: its rows are moved in place so the training
     rows come first, and both blocks are standardized and centered in it."""
-    mode = config.encoding_mode
-    if mode is EncodingMode.PCA_HEADER:
+    if config.mode is EncodingMode.PCA_HEADER:
         rows, labels = load_image_dataset(config.dataset, config.image_size)
     else:
         try:
@@ -342,7 +341,7 @@ def prepare_data(config: RunConfig) -> PreparedData:
     reorder_rows(rows, np.concatenate([train_idx, test_idx]))
     x_train, x_test = rows[: train_idx.size], rows[train_idx.size:]
     standardize_apply(standardize_fit(x_train), rows)
-    if mode is EncodingMode.PCA_HEADER:
+    if config.mode is EncodingMode.PCA_HEADER:
         x_train, x_test = evolve.project_pca(x_train, x_test)
     return PreparedData(
         eval_data=EvalData(
@@ -351,7 +350,7 @@ def prepare_data(config: RunConfig) -> PreparedData:
             x_test=x_test,
             y_test=labels[test_idx] * 2 - 1,
             svm_config=config.svm_config(),
-            mode=mode,
+            mode=config.mode,
         ),
         train_indices=train_idx,
         test_indices=test_idx,
@@ -485,7 +484,7 @@ def _cmd_inspect(args) -> int:
     config = parse_config_file(args.config)
     ind = Individual(bits=line_to_bits(args.genome))
     try:  # the length is checked before any data is read
-        decode_genome(ind.bits, config.qubits, config.layers, config.encoding_mode)
+        decode_genome(ind.bits, config.qubits, config.layers, config.mode)
     except ValueError as exc:
         raise ConfigError("genome-length", str(exc)) from None
     prepared = prepare_data(config)

@@ -100,8 +100,8 @@ class EvalData:
     y_train: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
+    mode: EncodingMode
     svm_config: SvmConfig = field(default_factory=SvmConfig)
-    mode: EncodingMode = EncodingMode.FIXED_FEATURES
 
 
 def project_pca(x_train: np.ndarray, x_test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,12 +168,10 @@ def evaluate_fitness(ind: Individual, data: EvalData, config: GaConfig) -> Fitne
 
 def flipbit_mutation(ind: Individual, config: GaConfig, rng: np.random.Generator) -> Individual:
     """With probability p_ind, flip each bit independently with probability
-    p_gen. Fitness is invalidated only if some bit actually changed."""
+    p_gen. The child carries no fitness: `run` finds it by its bitstring."""
     if rng.random() >= config.p_ind:
         return ind
     flips = rng.random(ind.bits.size) < config.p_gen
-    if not flips.any():
-        return ind
     return Individual(bits=ind.bits ^ flips.astype(np.uint8))
 
 

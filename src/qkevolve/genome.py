@@ -24,10 +24,11 @@ MAX_PCA_COMPONENTS = 2 ** PCA_COMPONENT_BITS
 
 
 class EncodingMode(Enum):
-    """Whether the genome carries a leading PCA-component header."""
+    """Whether the genome carries a leading PCA-component header. The values
+    are the config's `mode` spellings."""
 
-    PCA_HEADER = "pca_header"
-    FIXED_FEATURES = "fixed_features"
+    PCA_HEADER = "pca"
+    FIXED_FEATURES = "external"
 
 
 class GateKind(Enum):
@@ -109,7 +110,7 @@ class CircuitGenome:
 
     def __post_init__(self):
         widths = {len(row) for row in self.grid}
-        if len(self.grid) == 0 or widths != {len(self.grid[0])}:
+        if len(widths) != 1 or 0 in widths:
             raise ValueError("grid must be a nonempty rectangular matrix")
         if self.pca_components is not None and not 1 <= self.pca_components <= MAX_PCA_COMPONENTS:
             raise ValueError(f"pca_components out of range: {self.pca_components}")
@@ -125,8 +126,6 @@ class CircuitGenome:
 
 def genome_length(m_qubits: int, n_layers: int, mode: EncodingMode) -> int:
     """Bit length of an individual for an M x N grid in the given mode."""
-    if m_qubits < 1 or n_layers < 1:
-        raise ValueError("m_qubits and n_layers must be positive")
     length = m_qubits * n_layers * GATE_BITS
     if mode is EncodingMode.PCA_HEADER:
         length += HEADER_BITS

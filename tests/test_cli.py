@@ -99,6 +99,7 @@ OUT_OF_RANGE = [
     ("svm_tol", float("inf")),
     ("svm_max_passes", 0),
     ("qubits", 0),
+    ("layers", 0),
     ("p_gen", 1.5),
     ("generations", 0),
     ("patience", -1),
@@ -117,7 +118,7 @@ class TestConfigParsing:
     def test_round_trips_values(self, tmp_path):
         dataset = make_image_tree(tmp_path / "data")
         cfg = parse_config_file(small_run_config(tmp_path, dataset))
-        assert cfg.mode == "pca"
+        assert cfg.mode is EncodingMode.PCA_HEADER
         assert cfg.qubits == 2 and cfg.layers == 2
         assert cfg.lambda_ == 4
         assert cfg.baseline is True
@@ -135,12 +136,24 @@ class TestConfigParsing:
             parse_config_file(path)
         assert excinfo.value.code == "config-key"
 
-    def test_bad_value_rejected(self, tmp_path):
-        path = write_config(
-            tmp_path / "c.cfg", mode="pca", dataset=".", output_dir=".", qubits="six"
-        )
-        with pytest.raises(ConfigError, match="cannot parse"):
+    @pytest.mark.parametrize(
+        "key, text, expected",
+        [
+            pytest.param("qubits", "six", "as int", id="int"),
+            pytest.param("p_gen", "high", "as float", id="float"),
+            pytest.param("baseline", "maybe", "as bool", id="bool"),
+            pytest.param("mode", "magic", "as 'pca' or 'external'", id="mode"),
+        ],
+    )
+    def test_bad_value_rejected(self, tmp_path, key, text, expected):
+        kv = dict(mode="pca", dataset=".", output_dir=".")
+        kv[key] = text
+        path = write_config(tmp_path / "c.cfg", **kv)
+        line_no = 2 + list(kv).index(key)  # after the comment line
+        with pytest.raises(ConfigError) as excinfo:
             parse_config_file(path)
+        assert excinfo.value.code == "config-value"
+        assert excinfo.value.detail == f"line {line_no}: cannot parse {text!r} for {key!r} {expected}"
 
     @pytest.mark.parametrize("key", ["dataset", "output_dir"])
     def test_empty_value_rejected(self, tmp_path, key):
@@ -173,11 +186,6 @@ class TestConfigParsing:
         assert cfg.output_dir == tmp_path / "run#1"
         assert cfg.seed == 5
 
-    def test_bad_mode(self, tmp_path):
-        path = write_config(tmp_path / "c.cfg", mode="magic", dataset=".", output_dir=".")
-        with pytest.raises(ConfigError, match="mode"):
-            parse_config_file(path)
-
     @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
     def test_out_of_range_value_rejected_before_loading(self, tmp_path, key, value):
         path = write_config(
@@ -195,6 +203,12 @@ class TestConfigParsing:
         kwargs["lambda_" if key == "lambda" else key] = value
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+    def test_mode_string_is_the_encoding(self, tmp_path):
+        config = RunConfig(mode="pca", dataset=tmp_path, output_dir=tmp_path)
+        assert config == RunConfig(mode=EncodingMode.PCA_HEADER, dataset=tmp_path, output_dir=tmp_path)
+        assert config.mode is EncodingMode.PCA_HEADER
+        assert config.echo()["mode"] == "pca"
 
     def test_defaults_agree_with_the_configs_they_restate(self, tmp_path):
         config = RunConfig(mode="pca", dataset=tmp_path, output_dir=tmp_path)
@@ -428,7 +442,7 @@ class TestPipeline:
             assert record["pca_components_effective"] == min(record["pca_components"], 11)
 
         prepared = prepare_data(config)
-        length = genome_length(config.qubits, config.layers, config.encoding_mode)
+        length = genome_length(config.qubits, config.layers, config.mode)
         all_ones = Individual(bits=np.ones(length, dtype=np.uint8), fitness=FitnessPair(0.5, 1.0, 1.0))
         record = _individual_record(all_ones, config, prepared)
         assert record["pca_components"] == 64

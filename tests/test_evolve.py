@@ -135,6 +135,7 @@ class TestEvaluateFitness:
             y_train=np.ones_like(data.y_train),  # single class, SVM will refuse
             x_test=data.x_test,
             y_test=data.y_test,
+            mode=data.mode,
         )
         bits = bits_of("0110100" + "1010011")
         with pytest.raises(ValueError) as caught:

@@ -99,10 +99,6 @@ class TestGenomeLength:
             assert genome_length(m + 1, n, mode) > base
             assert genome_length(m, n + 1, mode) > base
 
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            genome_length(0, 3, EncodingMode.PCA_HEADER)
-
 
 class TestDecodeGenome:
     def test_all_zero_single_gate(self):
@@ -136,6 +132,12 @@ class TestDecodeGenome:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length mismatch"):
             decode_genome(np.zeros(14, dtype=np.uint8), 1, 2, EncodingMode.PCA_HEADER)
+
+    @pytest.mark.parametrize("mode", list(EncodingMode))
+    @pytest.mark.parametrize("m, n", [(0, 3), (3, 0)])
+    def test_empty_grid_rejected(self, m, n, mode):
+        with pytest.raises(ValueError, match="nonempty rectangular"):
+            decode_genome(np.zeros(genome_length(m, n, mode), dtype=np.uint8), m, n, mode)
 
 
 class TestEncodeGenome:
