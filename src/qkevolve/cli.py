@@ -536,7 +536,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(json.dumps({"error": "input", "detail": str(exc)}), file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - unexpected failures
+    except Exception as exc:
         print(json.dumps({"error": "internal", "detail": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 1
 

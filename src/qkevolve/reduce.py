@@ -1,5 +1,5 @@
 """Feature preprocessing: [-1, 1] standardization, PCA from the
-eigendecomposition of the smaller Gram matrix of the centered training rows,
+eigendecomposition of the centered training rows' Gram matrix C C^T,
 stratified train/test splitting and ingestion of externally computed feature
 files.
 
@@ -59,22 +59,19 @@ class PcaModel:
 
 def pca_fit(train: np.ndarray, r: int) -> PcaModel:
     """The leading min(max(1, r), n-1, d) principal directions of the centered
-    training rows C (n x d), from the eigendecomposition of the smaller Gram
-    matrix, together with the training rows' scores on them. Consumes `train`:
-    its rows are overwritten (unless it first needs converting to float64).
+    training rows C (n x d), together with the training rows' scores on them,
+    from the eigendecomposition of the rows' Gram matrix C C^T (n x n): the
+    "snapshot" form of PCA (Turk & Pentland, 1991). Component k is
+    v_k^T C / sqrt(l_k) for the k-th largest eigenpair (v_k, l_k), and its
+    training scores are v_k sqrt(l_k), so only the r d-wide rows asked for are
+    formed and the training rows are not projected again. Consumes `train`:
+    C is formed in place in it (unless it first needs converting to float64).
 
-    With n <= d that is C C^T (n x n): component k is v_k^T C / sqrt(l_k) for
-    its k-th largest eigenpair (v_k, l_k), the "snapshot" form of PCA (Turk &
-    Pentland, 1991), and the training scores are v_k sqrt(l_k), so only the r
-    d-wide rows asked for are formed and the training rows are not projected
-    again; C is formed in place in `train`. Otherwise component k is the k-th
-    eigenvector of C^T C (d x d), C is a copy, and the scores are the training
-    rows projected as `pca_transform` projects them. Rows are centered through
-    the first row, so a feature that is constant over the training rows
-    centers to exact zeros. A fitted component whose training variance is
-    numerically zero, l_k <= n * eps * l_1 (which covers l_1 = 0), comes back
-    as a zero row with zero scores, with one warning giving the count among
-    the fitted components.
+    Rows are centered through the first row, so a feature that is constant
+    over the training rows centers to exact zeros. A fitted component whose
+    training variance is numerically zero, l_k <= n * eps * l_1 (which covers
+    l_1 = 0), comes back as a zero row with zero scores, with one warning
+    giving the count among the fitted components.
 
     Component signs are fixed so the largest-magnitude loading of each
     component is positive, making the decomposition deterministic.
@@ -84,34 +81,25 @@ def pca_fit(train: np.ndarray, r: int) -> PcaModel:
     if n < 2:
         raise ValueError("PCA requires at least two training rows")
     r = int(min(max(1, r), n - 1, d))
-    snapshot = n <= d
     first = train[0].copy()
-    centered = np.subtract(train, first, out=train if snapshot else None)
-    shift = centered.mean(axis=0)
-    centered -= shift
-    eigvals, eigvecs = np.linalg.eigh(centered @ centered.T if snapshot else centered.T @ centered)
+    train -= first
+    shift = train.mean(axis=0)
+    train -= shift  # now C
+    eigvals, eigvecs = np.linalg.eigh(train @ train.T)
     eigvals, eigvecs = eigvals[::-1][:r], eigvecs[:, ::-1][:, :r]
     null = eigvals <= n * np.finfo(float).eps * eigvals[0]
     if null.any():
         log.warning("%d of %d PCA components have zero training variance", null.sum(), r)
-    if snapshot:
-        components = eigvecs.T @ centered
-        components /= np.sqrt(np.where(null, 1.0, eigvals))[:, None]
-    else:
-        components = eigvecs.T
+    components = eigvecs.T @ train
+    components /= np.sqrt(np.where(null, 1.0, eigvals))[:, None]
     components[null] = 0.0
     flip = np.ones(r)
     for k, row in enumerate(components):  # row by row: no r x d |components|
         if row[np.abs(row).argmax()] < 0:
             row *= -1.0
             flip[k] = -1.0
-    mean = first + shift
-    if snapshot:
-        scores = eigvecs * (np.sqrt(np.where(null, 0.0, eigvals)) * flip)
-    else:
-        train -= mean
-        scores = train @ components.T
-    return PcaModel(mean=mean, components=components, scores=scores)
+    scores = eigvecs * (np.sqrt(np.where(null, 0.0, eigvals)) * flip)
+    return PcaModel(mean=first + shift, components=components, scores=scores)
 
 
 def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:

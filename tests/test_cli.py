@@ -483,6 +483,18 @@ class TestPipeline:
         assert parsed["error"] == "dataset-width"
         assert "63" in parsed["detail"]
 
+    def test_external_mode_non_numeric_value_is_reported(self, tmp_path, capsys):
+        csv_path = tmp_path / "bad.csv"
+        header = ",".join([f"f{i}" for i in range(64)] + ["label"])
+        rows = [["0.1"] * 64, ["0.2"] * 63 + ["high"]]
+        csv_path.write_text(header + "\n" + "\n".join(",".join(r) + ",0" for r in rows) + "\n")
+        cfg = small_run_config(tmp_path, csv_path, "bad", mode="external")
+        assert main(["run", "--config", str(cfg)]) == 2
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert parsed == {
+            "error": "dataset-format", "detail": f"{csv_path}: row 3: non-numeric feature value"
+        }
+
     def test_degenerate_split_rejected_before_evolving(self, tmp_path, capsys, monkeypatch):
         # 4 + 4 rows at test_fraction 0.1 leave no test row
         csv_path = tmp_path / "tiny.csv"
@@ -533,6 +545,32 @@ class TestCommands:
         assert parsed["detail"] == f"evaluation {eval_id} ({bits_to_line(bits)}): solver defect"
         for name in ("report.json", "history.csv", "archive.json"):
             assert not (tmp_path / "fail" / name).exists()
+
+    @pytest.mark.parametrize("problem", ["missing", "syntax"])
+    def test_unreadable_config_fails(self, tmp_path, capsys, problem):
+        cfg = tmp_path / "c.cfg"
+        if problem == "syntax":
+            write_config(cfg, mode="pca", dataset=tmp_path, output_dir=tmp_path / "out")
+            cfg.write_text(cfg.read_text() + "seed 7\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert parsed == {
+            "missing": {"error": "config-missing", "detail": f"config file not found: {cfg}"},
+            "syntax": {"error": "config-syntax", "detail": "line 5: expected 'key = value'"},
+        }[problem]
+        assert not (tmp_path / "out").exists()
+
+    def test_unexpected_error_exits_one_as_internal(self, tmp_path, capsys, monkeypatch):
+        dataset = make_image_tree(tmp_path / "data")
+        cfg = small_run_config(tmp_path, dataset)
+
+        def defect(config):
+            raise RuntimeError("unexpected defect")
+
+        monkeypatch.setattr(cli, "prepare_data", defect)
+        assert main(["run", "--config", str(cfg)]) == 1
+        parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert parsed == {"error": "internal", "detail": "RuntimeError: unexpected defect"}
 
     def test_inspect_prints_circuit(self, tmp_path, capsys):
         dataset = make_image_tree(tmp_path / "data")
@@ -696,12 +734,12 @@ class TestPrepareData:
         assert data.mode is EncodingMode.PCA_HEADER
         assert data.x_train.shape == (12, 11) and data.x_test.shape == (4, 11)
 
-    @pytest.mark.parametrize("n_samples", [200, 60], ids=["tall-side-fit", "snapshot-side-fit"])
+    @pytest.mark.parametrize("n_samples", [200, 60], ids=["n_train>d", "n_train<d"])
     def test_external_features_survive_the_run_and_its_baseline(
         self, tmp_path, two_gauss_dataset, monkeypatch, n_samples
     ):
-        # 200 rows leave 150 training rows, so the baseline's PCA fits C^T C;
-        # 60 rows leave 45, fewer than the 64 features, so it fits C C^T
+        # 200 rows leave 150 training rows, more than the 64 features, and 60
+        # leave 45, fewer: the baseline's PCA consumes its input on both shapes
         x, y01 = two_gauss_dataset
         csv_path = tmp_path / "features.csv"
         header = ",".join([f"f{i}" for i in range(64)] + ["label"])

@@ -4,9 +4,10 @@ outputs committed under tests/reference_runs/. A change that alters run
 outputs fails here; once the files are regenerated, their diff is the
 before/after of the change.
 
-- pca8: 8 x 8 images, PCA with baseline (d = 64 < n_train = 150, the C^T C side)
-- pca16: 16 x 16 images, PCA with baseline (d = 256 >= n_train, the snapshot
-  side: 64 of 149 components)
+- pca8: 8 x 8 images, PCA with baseline (d = 64 < n_train = 150: 64 of 64
+  components)
+- pca16: 16 x 16 images, PCA with baseline (d = 256 >= n_train: 64 of 149
+  components)
 - external: the 64-feature CSV, with baseline (the baseline fits its own PCA)
 
 The runs never reach the solver's hard cases, so solver.json also pins about
