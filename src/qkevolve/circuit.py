@@ -15,10 +15,12 @@ Conventions fixed here and relied on everywhere else:
 `evaluate_states` is the one simulation path, and it never applies a gate to
 the full 2^M state. The CNOTs join qubits into clusters (union-find over their
 control/target pairs); each cluster evolves on its own 2^k amplitudes, runs of
-rotations on one qubit are fused into one per-sample 2x2 block before they
-touch a cluster, and the full state is the outer product of the cluster
-states. A CNOT-free circuit, the kind the fitness pressure favours, is thus M
-independent one-qubit states; a fully entangled one is a single cluster.
+rotations on one qubit are fused into one 2x2 block before they touch a
+cluster, and the full state is the outer product of the cluster states. Each
+rotation's block is built when the gate loop reaches it; a fixed rotation's
+block is one constant shared by every sample. A CNOT-free circuit, the kind
+the fitness pressure favours, is thus M independent one-qubit states; a fully
+entangled one is a single cluster.
 """
 
 from __future__ import annotations
@@ -120,9 +122,9 @@ def build_feature_map(genome: CircuitGenome, input_dim: int) -> FeatureMapCircui
 
 
 def _apply_2x2(u: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Per-sample 2x2 blocks u (2, 2, n) acting on axis 1 of states (a, 2, b, n),
-    written out elementwise; the sample axis is last so every product runs
-    over contiguous samples."""
+    """2x2 blocks u, (2, 2, n) per sample or (2, 2, 1) shared, acting on axis 1
+    of states (a, 2, b, n), written out elementwise; the sample axis is last
+    so every product runs over contiguous samples."""
     return u[:, 0, None] * states[:, :1] + u[:, 1, None] * states[:, 1:]
 
 
@@ -136,11 +138,13 @@ def _cnot_permutation(k: int, control: int, target: int) -> np.ndarray:
 def evaluate_states(circuit: FeatureMapCircuit, xs: np.ndarray) -> np.ndarray:
     """Feature-map states for a batch of inputs; returns (n, 2^M) amplitudes.
 
-    The gates run in scan order. Each qubit keeps a pending per-sample 2x2
-    product of its rotations since its last CNOT; the product is applied to
-    the qubit's cluster state only when a CNOT touches the qubit, or at the
-    end. A CNOT is an index permutation of its cluster's amplitudes. Cluster
-    states are stored as (2^k, n), samples last.
+    The gates run in scan order, and each rotation's block is built as the
+    loop reaches it: (2, 2, n) for a parameterized one, a single (2, 2, 1)
+    constant shared by every sample for a fixed one. Each qubit keeps a
+    pending product of its rotations since its last CNOT; the product is
+    applied to the qubit's cluster state only when a CNOT touches the qubit,
+    or at the end. A CNOT is an index permutation of its cluster's
+    amplitudes. Cluster states are stored as (2^k, n), samples last.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[1] != circuit.input_dim:
@@ -148,19 +152,6 @@ def evaluate_states(circuit: FeatureMapCircuit, xs: np.ndarray) -> np.ndarray:
             f"input dimension mismatch: circuit expects {circuit.input_dim}, got {xs.shape[1]}"
         )
     n, m = xs.shape[0], circuit.n_qubits
-
-    # Every rotation's per-sample block, from one gather; a fixed rotation
-    # reads an appended column of ones. Layout (2, 2, gate, sample).
-    rotations = [op for op in circuit.ops if op.kind in ROTATION_AXIS]
-    columns = [circuit.input_dim if op.feature_index is None else op.feature_index for op in rotations]
-    features = np.concatenate([xs, np.ones((n, 1))], axis=1).T
-    angles = np.array([op.theta for op in rotations])[:, None] * features[columns]
-    blocks = np.empty((2, 2, len(rotations), n), dtype=complex)
-    for axis in "xyz":
-        sel = [g for g, op in enumerate(rotations) if ROTATION_AXIS[op.kind] == axis]
-        if sel:
-            blocks[:, :, sel] = axis_rotation(axis, angles[sel])
-
     parent = list(range(m))
 
     def find(q: int) -> int:
@@ -190,7 +181,6 @@ def evaluate_states(circuit: FeatureMapCircuit, xs: np.ndarray) -> np.ndarray:
             states[c] = _apply_2x2(pending[q], shaped).reshape(-1, n)
             pending[q] = None
 
-    g = 0
     for op in circuit.ops:
         if op.kind is GateKind.CNOT:
             flush(op.qubit)
@@ -199,9 +189,9 @@ def evaluate_states(circuit: FeatureMapCircuit, xs: np.ndarray) -> np.ndarray:
             target = home[op.target][1]
             states[c] = states[c][_cnot_permutation(len(members[c]), control, target)]
         elif op.kind is not GateKind.IDENTITY:
-            u, q = blocks[:, :, g], op.qubit
+            angle = [op.theta] if op.feature_index is None else op.theta * xs[:, op.feature_index]
+            u, q = axis_rotation(ROTATION_AXIS[op.kind], angle), op.qubit
             pending[q] = u if pending[q] is None else _apply_2x2(u, pending[q][None])[0]
-            g += 1
     for q in range(m):
         flush(q)
 

@@ -187,8 +187,8 @@ def parse_config_file(path) -> RunConfig:
 
 def _read_pgm(path: Path) -> tuple[np.ndarray, int]:
     """Decode a P2 (ascii) or P5 (binary) PGM into its (height x width)
-    samples, as stored, and its maxval; a sample outside [0, maxval] is
-    rejected."""
+    samples, as stored, and its maxval; an ascii sample that is not a decimal
+    integer, or any sample outside [0, maxval], is rejected."""
     data = path.read_bytes()
     if data[:2] not in (b"P2", b"P5"):
         raise ValueError(f"{path}: not a P2/P5 PGM file")
@@ -225,7 +225,14 @@ def _read_pgm(path: Path) -> tuple[np.ndarray, int]:
         # a full-range sample type cannot exceed maxval, so it needs no check
         checked = maxval < np.iinfo(dtype).max
     else:
-        pixels = np.array(data[pos:].split(), dtype=float)
+        body = data[pos:]
+        # digits and whitespace only: int() alone would also take a sign or '_'
+        if body.translate(None, b"0123456789 \t\n\v\f\r"):
+            raise ValueError(f"{path}: PGM ascii sample is not a decimal integer")
+        try:
+            pixels = np.array(body.split(), dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"{path}: PGM ascii sample does not fit in 64 bits") from None
         if pixels.size != width * height:
             raise ValueError(f"{path}: wrong ascii pixel count")
         checked = True

@@ -166,13 +166,24 @@ class TestEvaluateState:
             assert np.allclose(norms, 1.0, atol=1e-10)
 
     def test_batch_matches_single(self):
+        # q1 has only fixed rotations and joins q0's cluster at the CNOT; q3
+        # has only fixed rotations and no CNOT, so it is flushed at the end;
+        # q2 fuses a fixed block into a per-sample one
+        fixed_qubits = genome_of(
+            [
+                [(GateKind.RX_PARAM, 3), (GateKind.RY_PARAM, 5), (GateKind.CNOT, 1), (GateKind.RZ_FIXED, 3)],
+                [(GateKind.RX_FIXED, 2), (GateKind.RY_FIXED, 9), (GateKind.RZ_FIXED, 4), (GateKind.RX_FIXED, 6)],
+                [(GateKind.RZ_PARAM, 7), (GateKind.RX_FIXED, 11), IDENT, (GateKind.RY_PARAM, 1)],
+                [(GateKind.RY_FIXED, 5), (GateKind.RZ_FIXED, 13), (GateKind.RX_FIXED, 1), IDENT],
+            ]
+        )
         rng = np.random.default_rng(23)
-        genome, _ = random_genome(rng, 3, 4)
-        circ = build_feature_map(genome, 2)
-        xs = rng.uniform(-1, 1, size=(5, 2))
-        batch = evaluate_states(circ, xs)
-        for i in range(5):
-            assert np.allclose(batch[i], state_of(circ, xs[i]), atol=1e-14)
+        for genome in (random_genome(rng, 3, 4)[0], fixed_qubits):
+            circ = build_feature_map(genome, 2)
+            xs = rng.uniform(-1, 1, size=(5, 2))
+            batch = evaluate_states(circ, xs)
+            for i in range(5):
+                assert np.array_equal(batch[i], state_of(circ, xs[i]))
 
     def test_dimension_mismatch(self):
         circ = build_feature_map(genome_of([[IDENT]]), 2)
@@ -343,6 +354,18 @@ class TestOracleEquivalence:
             self.assert_matches(identity, rng)
             fixed = grid_with_cnots(rng, m, 5, {(0, 2)} if m > 1 else set(), kinds=FIXED_KINDS)
             self.assert_matches(build_feature_map(fixed, 2), rng)
+
+    def test_x_independent_circuit_gives_every_row_one_state(self):
+        # no parameterized gate: every rotation is one block shared by all rows
+        rng = np.random.default_rng(83)
+        for m, cells in ((2, {(0, 1)}), (3, {(0, 0), (2, 3)}), (5, {(1, 2), (4, 4)})):
+            circ = build_feature_map(grid_with_cnots(rng, m, 5, cells, kinds=FIXED_KINDS), 3)
+            assert circ.census.n_cnot == len(cells)
+            assert all(op.feature_index is None for op in circ.ops)
+            xs = rng.uniform(-2, 2, size=(6, 3))
+            got = evaluate_states(circ, xs)
+            assert np.array_equal(got, np.broadcast_to(got[0], got.shape))
+            assert np.max(np.abs(got - reference_states(circ, xs))) <= 1e-12
 
 
 class TestComplexity:

@@ -262,6 +262,29 @@ class TestPgm:
         assert any("skipping unreadable image" in r.message and "over.pgm" in r.message
                    for r in caplog.records)
 
+    @pytest.mark.parametrize(
+        "token, error",
+        [
+            ("1.5", "is not a decimal integer"),
+            ("1e2", "is not a decimal integer"),
+            ("+5", "is not a decimal integer"),
+            ("1_0", "is not a decimal integer"),
+            ("99999999999999999999", "does not fit in 64 bits"),
+        ],
+    )
+    def test_non_integer_ascii_sample_rejected_and_skipped(self, tmp_path, caplog, token, error):
+        from qkevolve.cli import _read_pgm
+
+        root = make_image_tree(tmp_path / "imgs", per_class=2, size=4)
+        bad = root / "a_negative" / "frac.pgm"
+        bad.write_text("P2\n4 4\n255\n" + " ".join(["0"] * 15 + [token]) + "\n")
+        with pytest.raises(ValueError, match=rf"frac\.pgm: PGM ascii sample {error}"):
+            _read_pgm(bad)
+        rows, _ = load_image_dataset(root, image_size=4)
+        assert rows.shape == (4, 16)
+        assert any("skipping unreadable image" in r.message and "frac.pgm" in r.message
+                   for r in caplog.records)
+
     def test_truncated_rejected(self, tmp_path):
         (tmp_path / "t.pgm").write_bytes(b"P5\n4 4\n255\n\x00\x01")
         from qkevolve.cli import _read_pgm
